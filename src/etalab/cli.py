@@ -15,6 +15,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -122,12 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    keys = (
-        "precision", "epsilon", "window", "format", "out", "cache_dir", "threads",
-        "grid_alpha_from", "grid_alpha_to", "grid_alpha_step",
-        "grid_t_from", "grid_t_to", "grid_t_step",
-    )
-    return resolve_config({k: getattr(args, k, None) for k in keys})
+    return resolve_config({f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
 def _deliver(text: str, out: str | None) -> None:
@@ -279,11 +275,14 @@ def cmd_sandwich(args) -> int:
 def cmd_ratio(args) -> int:
     cfg = _config(args)
     s = complex(args.sigma, args.t)
-    estimate = ratios.limit_estimate(s, args.n_max)
+    ratios._check_pair(args.n_max)
+    ratios._check_ceiling(args.n_max)
+    path, mag, _ = ratios.sum_ratio_path(s, args.n_max)
+    estimate = ratios._limit(path, mag)
     ratio = functional.functional_ratio(s)
-    events = ratios.detect_zero_sums(s, args.n_max, args.zero_threshold)
+    events = ratios._zero_events(mag, 1, args.zero_threshold, orbit.nesting_start(s))
     env_from = max(1, args.n_max - 200)
-    envelope = ratios.envelope_diagnostics(s, env_from, args.n_max)
+    envelope = ratios._envelope(path, env_from, functional.functional_ratio_modulus(s))
     doc = json_document(
         "etalab/ratio/v1",
         {"sigma": s.real, "t": s.imag, "n_max": args.n_max, "precision": cfg.precision},
@@ -366,7 +365,7 @@ def cmd_scan(args) -> int:
         header = ("alpha", "t", "ratio", "lower", "upper", "pass_lower", "pass_upper")
 
         def compute() -> str:
-            result = scans.scan_conjecture(grid, cfg.precision, cfg.threads or 1)
+            result = scans.scan_conjecture(grid, cfg.precision, cfg.threads)
             rows = _conjecture_rows(result)
             if result.skipped:
                 sys.stderr.write(f"skipped {len(result.skipped)} zero-indistinguishable points\n")

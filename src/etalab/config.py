@@ -36,38 +36,10 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_KEY_TO_FIELD = {
-    "precision": "precision",
-    "epsilon": "epsilon",
-    "window": "window",
-    "ceiling": "ceiling",
-    "grid-alpha-from": "grid_alpha_from",
-    "grid-alpha-to": "grid_alpha_to",
-    "grid-alpha-step": "grid_alpha_step",
-    "grid-t-from": "grid_t_from",
-    "grid-t-to": "grid_t_to",
-    "grid-t-step": "grid_t_step",
-    "format": "format",
-    "out": "out",
-    "cache-dir": "cache_dir",
-    "threads": "threads",
-}
+_KEY_TO_FIELD = {f.name.replace("_", "-"): f.name for f in fields(RunConfig)}
 
 _PARSERS = {
-    "precision": float,
-    "epsilon": float,
-    "window": int,
-    "ceiling": int,
-    "grid_alpha_from": float,
-    "grid_alpha_to": float,
-    "grid_alpha_step": float,
-    "grid_t_from": float,
-    "grid_t_to": float,
-    "grid_t_step": float,
-    "format": str,
-    "out": str,
-    "cache_dir": str,
-    "threads": int,
+    f.name: str if f.default is None else type(f.default) for f in fields(RunConfig)
 }
 
 
@@ -103,4 +75,6 @@ def resolve_config(cli_values: dict) -> RunConfig:
     for field, value in cli_values.items():
         if value is not None:
             setattr(cfg, field, value)
+    if cfg.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {cfg.threads}")
     return cfg

@@ -105,6 +105,8 @@ def eta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleVa
     target_error within max_terms acceleration terms.
     """
     s = as_complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError(f"eta oracle requires finite s, got {s}")
     if s.real <= 0.0:
         raise ValueError(f"eta oracle requires Re(s) > 0, got {s.real}")
     if target_error < TARGET_FLOOR:

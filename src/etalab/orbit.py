@@ -209,6 +209,8 @@ def _stable_run_start(predicate, start: int, window: int, ceiling: int):
     onset was not a single sign change).  Raises WindowExhausted when no
     stable run exists below the ceiling.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     last_bad = start - 1
     flips = 0
     prev_good = False  # the region below the threshold counts as failing
@@ -237,8 +239,6 @@ def nesting_start(s, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILIN
     Returns angle_threshold(t) - 1 when the margin is positive from the
     threshold onward (0 in the degenerate t = 0 case).
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     s = as_complex(s)
     t = abs(s.imag)
     sigma = s.real

@@ -8,6 +8,7 @@ this package accept either a :class:`StripPoint` or a plain ``complex``;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -21,7 +22,7 @@ class StripPoint:
     def __post_init__(self):
         if not (0.0 < self.sigma < 1.0):
             raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
-        if not (self.sigma == self.sigma and self.t == self.t):  # NaN guard
+        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
             raise ValueError("sigma and t must be finite")
 
     @property

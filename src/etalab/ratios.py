@@ -13,6 +13,11 @@ Consecutive ratios jump from one side of the limit modulus to the other
 so the limit estimate averages the final odd/even pair, which converges
 visibly faster than the raw sequence.
 
+Numerator and denominator sums come from the series kernel run at the
+pair (1 - sigma, sigma) in lockstep.  The limit estimate, the zero-sum
+events and the envelope are read off one mirrored pass by the private
+helpers below, so a full ratio report needs one pass, not three.
+
 Partial sums vanish for at most finitely many indices, and beyond the
 disk-nesting start for at most one; detection separates the machine
 zero policy (default threshold 1e-9) from reproduction of printed
@@ -29,12 +34,11 @@ import numpy as np
 
 from .errors import ZeroDenominator
 from .points import as_complex
+from .series import _sum_blocks, _sum_paths, partial_sum
 from . import functional
 from . import orbit
 
 ZERO_SUM_THRESHOLD = 1e-9
-
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,39 +76,14 @@ class EnvelopeReport:
     run_lengths: dict[int, int]
 
 
-def _mirrored_sums(s: complex, n_max: int):
-    """Lockstep partial sums at (1-sigma, t) and (sigma, t), one log pass."""
-    sigma = s.real
-    t_abs = abs(s.imag)
-    num = np.empty(n_max, dtype=np.complex128)
-    den = np.empty(n_max, dtype=np.complex128)
-    base_num = 0.0 + 0.0j
-    base_den = 0.0 + 0.0j
-    carry_num = 0.0 + 0.0j
-    carry_den = 0.0 + 0.0j
-    for lo in range(1, n_max + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n_max + 1)
-        n = np.arange(lo, hi, dtype=np.float64)
-        ln = np.log(n)
-        phase = np.exp(-1j * t_abs * ln)
-        phase[lo % 2 :: 2] *= -1.0
-        cn = np.cumsum(np.exp(-(1.0 - sigma) * ln) * phase)
-        cd = np.cumsum(np.exp(-sigma * ln) * phase)
-        num[lo - 1 : hi - 1] = base_num + cn
-        den[lo - 1 : hi - 1] = base_den + cd
-        # compensated base update
-        v = complex(cn[-1]) + carry_num
-        prev = base_num
-        base_num = prev + v
-        carry_num = v - (base_num - prev)
-        v = complex(cd[-1]) + carry_den
-        prev = base_den
-        base_den = prev + v
-        carry_den = v - (base_den - prev)
-    if s.imag < 0:
-        np.conjugate(num, out=num)
-        np.conjugate(den, out=den)
-    return num, den
+def _check_pair(n_max: int) -> None:
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
+
+
+def _check_ceiling(n_max: int) -> None:
+    if n_max > orbit.DEFAULT_CEILING:
+        raise ValueError(f"n_max must be <= {orbit.DEFAULT_CEILING:g}")
 
 
 def sum_ratio(n: int, s, threshold: float = ZERO_SUM_THRESHOLD) -> RatioSample:
@@ -116,7 +95,8 @@ def sum_ratio(n: int, s, threshold: float = ZERO_SUM_THRESHOLD) -> RatioSample:
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     s = as_complex(s)
-    num, den = _mirrored_sums(s, n)
+    for _, _, (num, den), _ in _sum_blocks((1.0 - s.real, s.real), s.imag, n):
+        pass
     mag = abs(den[-1])
     if mag <= threshold:
         raise ZeroDenominator(mag, n)
@@ -129,7 +109,7 @@ def sum_ratio_path(s, n_max: int, threshold: float = ZERO_SUM_THRESHOLD):
     Ratios at skipped indices (denominator below threshold) are NaN.
     """
     s = as_complex(s)
-    num, den = _mirrored_sums(s, n_max)
+    num, den = _sum_paths((1.0 - s.real, s.real), s.imag, n_max)
     mag = np.abs(den)
     skipped = [int(i) + 1 for i in np.nonzero(mag <= threshold)[0]]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -137,6 +117,14 @@ def sum_ratio_path(s, n_max: int, threshold: float = ZERO_SUM_THRESHOLD):
     if skipped:
         ratios[np.asarray(skipped) - 1] = np.nan
     return ratios, mag, skipped
+
+
+def _zero_events(mags: np.ndarray, lo: int, threshold: float, nesting_index: int) -> list[ZeroSumEvent]:
+    """Events among the magnitudes |S_n| of indices lo, lo + 1, ..."""
+    return [
+        ZeroSumEvent(lo + int(i), float(mags[i]), lo + int(i) > nesting_index)
+        for i in np.nonzero(mags < threshold)[0]
+    ]
 
 
 def detect_zero_sums(
@@ -151,31 +139,27 @@ def detect_zero_sums(
     event can be a true zero, so a flagged count above one at a tight
     threshold indicates the threshold is too loose for the point.
     """
-    if n_max > orbit.DEFAULT_CEILING:
-        raise ValueError(f"n_max must be <= {orbit.DEFAULT_CEILING:g}")
+    _check_ceiling(n_max)
     s = as_complex(s)
     if nesting_index is None:
         nesting_index = orbit.nesting_start(s)
     events: list[ZeroSumEvent] = []
-    base = 0.0 + 0.0j
-    carry = 0.0 + 0.0j
-    sigma, t_abs = s.real, abs(s.imag)
-    for lo in range(1, n_max + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n_max + 1)
-        n = np.arange(lo, hi, dtype=np.float64)
-        ln = np.log(n)
-        terms = np.exp(-sigma * ln) * np.exp(-1j * t_abs * ln)
-        terms[lo % 2 :: 2] *= -1.0
-        cum = np.cumsum(terms)
-        mags = np.abs(base + cum)
-        for i in np.nonzero(mags < threshold)[0]:
-            idx = lo + int(i)
-            events.append(ZeroSumEvent(idx, float(mags[i]), idx > nesting_index))
-        v = complex(cum[-1]) + carry
-        prev = base
-        base = prev + v
-        carry = v - (base - prev)
+    for lo, _, (sums,), _ in _sum_blocks((s.real,), s.imag, n_max):
+        events += _zero_events(np.abs(sums), lo, threshold, nesting_index)
     return events
+
+
+def _limit(ratios: np.ndarray, mag: np.ndarray, tol: float = 1e-9) -> LimitEstimate:
+    """The odd/even average of the last two ratios of a sum_ratio_path."""
+    n_max = len(ratios)
+    last = ratios[-1]
+    prev = ratios[-2]
+    if np.isnan(last) or np.isnan(prev):
+        raise ZeroDenominator(float(min(mag[-1], mag[-2])), n_max)
+    value = 0.5 * (complex(last) + complex(prev))
+    residual = abs(complex(last) - complex(prev))
+    zero_flag = abs(value) < 10.0 * max(residual, tol)
+    return LimitEstimate(value, n_max, residual, zero_flag)
 
 
 def limit_estimate(
@@ -189,18 +173,33 @@ def limit_estimate(
     The residual is the final odd-even gap; the zero flag marks an
     estimate indistinguishable from the eta(s) = 0 branch of the limit.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    s = as_complex(s)
-    ratios, mag, skipped = sum_ratio_path(s, n_max, threshold)
-    last = ratios[-1]
-    prev = ratios[-2]
-    if np.isnan(last) or np.isnan(prev):
-        raise ZeroDenominator(float(min(mag[-1], mag[-2])), n_max)
-    value = 0.5 * (complex(last) + complex(prev))
-    residual = abs(complex(last) - complex(prev))
-    zero_flag = abs(value) < 10.0 * max(residual, tol)
-    return LimitEstimate(value, n_max, residual, zero_flag)
+    _check_pair(n_max)
+    ratios, mag, _ = sum_ratio_path(s, n_max, threshold)
+    return _limit(ratios, mag, tol)
+
+
+def _envelope(ratios: np.ndarray, n_from: int, limit_modulus: float) -> EnvelopeReport:
+    """Envelope statistics over the tail n >= n_from of a sum_ratio_path."""
+    window = np.abs(ratios[n_from - 1 :])
+    signs = np.sign(window - limit_modulus)
+    changes = signs[1:] != signs[:-1]
+    alternation = float(np.mean(changes)) if changes.size else 0.0
+    runs: Counter[int] = Counter()
+    length = 1
+    for flip in changes:
+        if flip:
+            runs[length] += 1
+            length = 1
+        else:
+            length += 1
+    runs[length] += 1
+    return EnvelopeReport(
+        n_from=n_from,
+        n_to=len(ratios),
+        limit_modulus=float(limit_modulus),
+        alternation_rate=alternation,
+        run_lengths=dict(sorted(runs.items())),
+    )
 
 
 def envelope_diagnostics(
@@ -218,26 +217,7 @@ def envelope_diagnostics(
     if limit_modulus is None:
         limit_modulus = functional.functional_ratio_modulus(s)
     ratios, _, _ = sum_ratio_path(s, n_to)
-    window = np.abs(ratios[n_from - 1 :])
-    signs = np.sign(window - limit_modulus)
-    changes = signs[1:] != signs[:-1]
-    alternation = float(np.mean(changes)) if changes.size else 0.0
-    runs: Counter[int] = Counter()
-    length = 1
-    for flip in changes:
-        if flip:
-            runs[length] += 1
-            length = 1
-        else:
-            length += 1
-    runs[length] += 1
-    return EnvelopeReport(
-        n_from=n_from,
-        n_to=n_to,
-        limit_modulus=float(limit_modulus),
-        alternation_rate=alternation,
-        run_lengths=dict(sorted(runs.items())),
-    )
+    return _envelope(ratios, n_from, limit_modulus)
 
 
 def alpha_sign_changes(n: int, m: int, t: float, alpha_grid) -> int:
@@ -285,7 +265,5 @@ def vertex_distance(m: int, j: int, s) -> float:
     """
     if m < 1 or j < 1:
         raise ValueError("need m >= 1 and j >= 1")
-    from .series import partial_sum
-
     s = as_complex(s)
     return abs(partial_sum(m + j, s) - partial_sum(m, s))

@@ -6,6 +6,10 @@ is exact double-precision work on the raw series: one log per index,
 shared between the modulus and the phase, and error-compensated
 accumulation so that million-term sweeps do not lose digits.
 
+Every partial sum in the package comes from one blockwise kernel,
+:func:`_sum_blocks`, which sums several sigmas at a common t in
+lockstep; the mirrored ratios use it with the pair (1 - sigma, sigma).
+
 Negative t is evaluated at |t| and conjugated, which makes conjugate
 symmetry of all outputs exact rather than approximate.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -42,23 +47,6 @@ class Segment:
     end: complex
     length: float
     theta: float
-
-
-class KahanSum:
-    """Compensated running sum of complex values."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self):
-        self.total = 0.0 + 0.0j
-        self.carry = 0.0 + 0.0j
-
-    def add(self, value: complex) -> complex:
-        value = value + self.carry
-        previous = self.total
-        self.total = previous + value
-        self.carry = value - (self.total - previous)
-        return self.total
 
 
 def eta_term(n: int, s) -> complex:
@@ -92,29 +80,64 @@ def turn_angle(n: int, t: float) -> float:
     return t * math.log1p(1.0 / n)
 
 
-def _term_block(sigma: float, t_abs: float, lo: int, hi: int) -> np.ndarray:
-    """Terms for indices lo..hi-1 (t taken non-negative)."""
-    n = np.arange(lo, hi, dtype=np.float64)
-    ln = np.log(n)
-    vals = np.exp(-sigma * ln) * np.exp(-1j * t_abs * ln)
-    vals[lo % 2 :: 2] *= -1.0  # even n carries the alternating minus
-    return vals
+def _sum_blocks(sigmas: tuple[float, ...], t: float, n_max: int):
+    """The summation kernel: S_n(sigma + i t) for every sigma in lockstep.
+
+    Yields (lo, terms, sums, totals) for consecutive blocks of indices
+    lo .. lo + len - 1 up to n_max.  Per block, ln n and the alternating
+    phase e^(-i |t| ln n) are computed once and shared by all sigmas.
+    terms[k] is the block of series terms at sigmas[k], and sums[k] the
+    block of S_n: the running total of the earlier blocks plus a plain
+    cumulative sum within this one.  The running total itself is carried
+    with compensation, and totals[k] is its value past the block's end.
+    For t < 0 everything is conjugated.
+    """
+    if not all(math.isfinite(x) for x in (*sigmas, t)):
+        raise ValueError(f"sigma and t must be finite, got sigma = {sigmas}, t = {t}")
+    t_abs = abs(t)
+    bases = [0.0 + 0.0j] * len(sigmas)
+    carries = [0.0 + 0.0j] * len(sigmas)
+    for lo in range(1, n_max + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n_max + 1)
+        ln = np.log(np.arange(lo, hi, dtype=np.float64))
+        phase = np.exp(-1j * t_abs * ln)
+        phase[lo % 2 :: 2] *= -1.0  # even n carries the alternating minus
+        terms = [np.exp(-sigma * ln) * phase for sigma in sigmas]
+        sums = []
+        for k, term in enumerate(terms):
+            cum = np.cumsum(term)
+            sums.append(bases[k] + cum)
+            value = cum[-1] + carries[k]
+            total = bases[k] + value
+            carries[k] = value - (total - bases[k])
+            bases[k] = total
+        if t < 0:
+            for block in (*terms, *sums):
+                np.conjugate(block, out=block)
+            yield lo, terms, sums, [b.conjugate() for b in bases]
+        else:
+            yield lo, terms, sums, list(bases)
+
+
+def _sum_paths(sigmas: tuple[float, ...], t: float, n_max: int) -> list[np.ndarray]:
+    """Arrays of S_1 .. S_{n_max} at each sigma, filled from the kernel."""
+    paths = [np.empty(n_max, dtype=np.complex128) for _ in sigmas]
+    for lo, _, sums, _ in _sum_blocks(sigmas, t, n_max):
+        for path, block in zip(paths, sums):
+            path[lo - 1 : lo - 1 + block.size] = block
+    return paths
 
 
 def partial_sum(n: int, s) -> complex:
-    """S_n(s), accumulated blockwise with compensation."""
+    """S_n(s): the compensated total after the kernel's last block."""
     if n < 0:
         raise ValueError(f"partial sum index must be >= 0, got {n}")
     if n == 0:
         return 0.0 + 0.0j
     s = as_complex(s)
-    acc = KahanSum()
-    for lo in range(1, n + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n + 1)
-        block = _term_block(s.real, abs(s.imag), lo, hi)
-        acc.add(np.cumsum(block)[-1])
-    total = acc.total
-    return total.conjugate() if s.imag < 0 else total
+    for *_, totals in _sum_blocks((s.real,), s.imag, n):
+        pass
+    return totals[0]
 
 
 def partial_sum_path(s, n_max: int) -> np.ndarray:
@@ -126,43 +149,23 @@ def partial_sum_path(s, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     s = as_complex(s)
-    out = np.empty(n_max, dtype=np.complex128)
-    acc = KahanSum()
-    base = 0.0 + 0.0j
-    for lo in range(1, n_max + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n_max + 1)
-        cum = np.cumsum(_term_block(s.real, abs(s.imag), lo, hi))
-        out[lo - 1 : hi - 1] = base + cum
-        base = acc.add(cum[-1])
-    if s.imag < 0:
-        np.conjugate(out, out=out)
-    return out
+    return _sum_paths((s.real,), s.imag, n_max)[0]
 
 
 def iter_partial_sums(s, n_from: int = 1) -> Iterator[SeriesState]:
     """Stream SeriesState(n, S_n, term_n) for n = n_from, n_from+1, ...
 
-    O(1) work per step; the sum is carried with compensation.  The stream
-    state is single-owner: share values, not the generator.
+    Sums come from the kernel a block at a time, so they equal the
+    entries of :func:`partial_sum_path`.  The stream state is
+    single-owner: share values, not the generator.
     """
     s = as_complex(s)
-    conj = s.imag < 0
-    t_abs = abs(s.imag)
-    acc = KahanSum()
-    if n_from > 1:
-        acc.add(partial_sum(n_from - 1, complex(s.real, t_abs)))
-    lo = n_from
-    while True:
-        hi = lo + _BLOCK
-        block = _term_block(s.real, t_abs, lo, hi)
-        for i, term in enumerate(block):
-            term = complex(term)
-            total = acc.add(term)
-            if conj:
-                yield SeriesState(lo + i, total.conjugate(), term.conjugate())
-            else:
-                yield SeriesState(lo + i, total, term)
-        lo = hi
+    for lo, (terms,), (sums,), _ in _sum_blocks((s.real,), s.imag, sys.maxsize):
+        skip = max(n_from - lo, 0)
+        for n, total, term in zip(
+            range(lo + skip, lo + sums.size), sums[skip:].tolist(), terms[skip:].tolist()
+        ):
+            yield SeriesState(n, total, term)
 
 
 def segment(n: int, s) -> Segment:

@@ -269,6 +269,49 @@ class TestApproxDeviation:
         upper = lines[1].split(",")
         assert abs(float(upper[1]) - 1.75e-4) < 0.05 * 1.75e-4
 
+class TestInvalidInput:
+    """Bad input exits 2 with an `error:` line, before any long computation."""
+
+    def test_window_below_one(self, capsys):
+        for command in ("orbit", "sandwich"):
+            code, out, err = run(capsys, command, "--sigma", "0.5", "--t", "20", "--window", "0")
+            assert code == 2
+            assert err.startswith("error: window must be >= 1")
+            assert out == ""
+
+    def test_threads_flag_below_one(self, capsys):
+        for threads in ("0", "-3"):
+            code, _, err = run(capsys, "scan", "--threads", threads)
+            assert code == 2
+            assert err.startswith("error: threads must be >= 1")
+
+    def test_threads_config_key_below_one(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "etalab.conf"
+        cfg.write_text("threads=0\n")
+        monkeypatch.setenv("ETALAB_CONFIG", str(cfg))
+        code, _, err = run(capsys, "scan")
+        assert code == 2
+        assert err.startswith("error: threads must be >= 1")
+
+    def test_non_finite_sigma(self, capsys):
+        for argv in (("eta", "--sigma", "nan"),
+                     ("path-export", "--sigma", "nan", "--n-max", "10"),
+                     ("ratio", "--sigma", "nan", "--t", "20")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith("error:") and "finite" in err
+            assert out == ""
+
+    def test_ratio_n_max_range(self, capsys):
+        code, _, err = run(capsys, "ratio", "--sigma", "0.3", "--t", "20", "--n-max", "1")
+        assert code == 2
+        assert err == "error: n_max must be >= 2, got 1\n"
+        # rejected before any summation, so no 2e7-index path is built
+        code, _, err = run(capsys, "ratio", "--sigma", "0.3", "--t", "20", "--n-max", "20000000")
+        assert code == 2
+        assert err == "error: n_max must be <= 1e+07\n"
+
+
 class TestConfigFile:
     def test_env_config_and_flag_override(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "etalab.conf"

@@ -107,6 +107,9 @@ class TestCertificate:
             eta(0.5 + 250.0j)
         with pytest.raises(ValueError):
             eta(0.5 + 1.0j, target_error=1e-15)
+        for s in (complex(math.nan, 1.0), complex(0.5, math.nan), complex(0.5, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                eta(s)
 
 
 class TestZeta:

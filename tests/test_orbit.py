@@ -123,6 +123,15 @@ class TestNestingStart:
         with pytest.raises(WindowExhausted):
             nesting_start(S_PAPER, window=1000, ceiling=500)
 
+    def test_window_validated_by_every_scan(self):
+        for window in (0, -5):
+            with pytest.raises(ValueError, match="window"):
+                nesting_start(S_PAPER, window=window)
+            with pytest.raises(ValueError, match="window"):
+                containment_start(S_PAPER, 0.5, window=window)
+            with pytest.raises(ValueError, match="window"):
+                orbit_diagnostics(S_PAPER, 0.5, window=window)
+
 
 class TestContainment:
     def test_paper_figure_example(self):

@@ -29,6 +29,9 @@ class TestStripPoint:
         for sigma in (0.0, 1.0, -0.3, 1.7, float("nan")):
             with pytest.raises(ValueError):
                 StripPoint(sigma, 1.0)
+        for t in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                StripPoint(0.5, t)
 
     def test_accepted_by_numeric_routines(self):
         from etalab import eta, partial_sum

@@ -7,17 +7,23 @@ Reference values were computed independently with mpmath at 30 digits
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etalab import (
     SeriesState,
+    detect_zero_sums,
+    envelope_diagnostics,
     eta_term,
     iter_partial_sums,
+    limit_estimate,
     partial_sum,
     partial_sum_path,
     segment,
     segment_angle,
+    sum_ratio,
+    sum_ratio_path,
     turn_angle,
 )
 
@@ -137,6 +143,16 @@ class TestStreaming:
         assert state.n == 1001
         assert abs(state.sum - partial_sum(1001, s)) < 1e-13
 
+    def test_stream_is_the_path_across_a_block_boundary(self):
+        s = 0.4 - 30.0j
+        path = partial_sum_path(s, 65560)
+        stream = iter_partial_sums(s, n_from=65530)
+        for n in range(65530, 65561):
+            state = next(stream)
+            assert state.n == n
+            assert state.sum == path[n - 1]
+            assert abs(state.last_term - eta_term(n, s)) < 1e-15
+
 
 class TestAngles:
     def test_segment_angle_trivials(self):
@@ -172,3 +188,130 @@ class TestSegment:
             assert seg.theta == segment_angle(n, 38.0)
             # the term points along theta
             assert abs(cmath.exp(1j * seg.theta) * seg.length - term) < 1e-13
+
+
+# Reference loops for the summation kernel, written out apart from it: the
+# lockstep mirrored loop and the compensated-total loop.  The kernel must
+# reproduce them bit for bit.
+_REF_BLOCK = 1 << 16
+
+
+def _ref_mirrored_sums(s: complex, n_max: int):
+    sigma = s.real
+    t_abs = abs(s.imag)
+    num = np.empty(n_max, dtype=np.complex128)
+    den = np.empty(n_max, dtype=np.complex128)
+    base_num = 0.0 + 0.0j
+    base_den = 0.0 + 0.0j
+    carry_num = 0.0 + 0.0j
+    carry_den = 0.0 + 0.0j
+    for lo in range(1, n_max + 1, _REF_BLOCK):
+        hi = min(lo + _REF_BLOCK, n_max + 1)
+        n = np.arange(lo, hi, dtype=np.float64)
+        ln = np.log(n)
+        phase = np.exp(-1j * t_abs * ln)
+        phase[lo % 2 :: 2] *= -1.0
+        cn = np.cumsum(np.exp(-(1.0 - sigma) * ln) * phase)
+        cd = np.cumsum(np.exp(-sigma * ln) * phase)
+        num[lo - 1 : hi - 1] = base_num + cn
+        den[lo - 1 : hi - 1] = base_den + cd
+        # compensated base update
+        v = complex(cn[-1]) + carry_num
+        prev = base_num
+        base_num = prev + v
+        carry_num = v - (base_num - prev)
+        v = complex(cd[-1]) + carry_den
+        prev = base_den
+        base_den = prev + v
+        carry_den = v - (base_den - prev)
+    if s.imag < 0:
+        np.conjugate(num, out=num)
+        np.conjugate(den, out=den)
+    return num, den
+
+
+def _ref_partial_sum(n: int, s: complex) -> complex:
+    total = 0.0 + 0.0j
+    carry = 0.0 + 0.0j
+    for lo in range(1, n + 1, _REF_BLOCK):
+        hi = min(lo + _REF_BLOCK, n + 1)
+        k = np.arange(lo, hi, dtype=np.float64)
+        ln = np.log(k)
+        vals = np.exp(-s.real * ln) * np.exp(-1j * abs(s.imag) * ln)
+        vals[lo % 2 :: 2] *= -1.0
+        value = np.cumsum(vals)[-1] + carry
+        previous = total
+        total = previous + value
+        carry = value - (total - previous)
+    return total.conjugate() if s.imag < 0 else total
+
+
+def _assert_same_bits(got, want):
+    """Bitwise equality of float or complex arrays; NaN equals NaN."""
+    got = np.atleast_1d(np.asarray(got))
+    want = np.atleast_1d(np.asarray(want))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestKernelMatchesReference:
+    N = 300001  # five kernel blocks
+
+    @pytest.fixture(scope="class", params=[0.3 + 80.0j, 0.404 - 147.0j], ids=str)
+    def case(self, request):
+        s = request.param
+        num, den = _ref_mirrored_sums(s, self.N)
+        return s, num, den
+
+    def test_partial_sum_path(self, case):
+        s, num, den = case
+        _assert_same_bits(partial_sum_path(s, self.N), den)
+        _assert_same_bits(partial_sum_path(complex(1.0 - s.real, s.imag), self.N), num)
+
+    def test_partial_sum_is_the_compensated_total(self, case):
+        s, _, den = case
+        for n in (1, 65536, 65537, 200000, self.N):
+            _assert_same_bits(partial_sum(n, s), _ref_partial_sum(n, s))
+        # beyond two blocks the compensated total may part from the path
+        # entry by rounding (4.4e-16 at 0.3+80i); both are kept as they are
+        assert abs(partial_sum(self.N, s) - den[-1]) < 1e-14
+
+    def test_sum_ratio_path_and_sum_ratio(self, case):
+        s, num, den = case
+        ratios, mags, skipped = sum_ratio_path(s, self.N)
+        _assert_same_bits(mags, np.abs(den))
+        _assert_same_bits(ratios, num / den)
+        assert skipped == []
+        for n in (2, 65537, self.N):
+            sample = sum_ratio(n, s)
+            _assert_same_bits(sample.value, num[n - 1] / den[n - 1])
+            _assert_same_bits(sample.denom_magnitude, abs(den[n - 1]))
+
+    def test_limit_and_envelope(self, case):
+        s, num, den = case
+        ratios = num / den
+        est = limit_estimate(s, self.N)
+        _assert_same_bits(est.value, 0.5 * (complex(ratios[-1]) + complex(ratios[-2])))
+        _assert_same_bits(est.residual, abs(complex(ratios[-1]) - complex(ratios[-2])))
+        rep = envelope_diagnostics(s, self.N - 200, self.N, limit_modulus=0.5)
+        signs = np.sign(np.abs(ratios[self.N - 201 :]) - 0.5)
+        _assert_same_bits(rep.alternation_rate, float(np.mean(signs[1:] != signs[:-1])))
+
+    def test_detect_zero_sums(self, case):
+        s, _, den = case
+        mags = np.abs(den)
+        threshold = float(np.sort(mags)[20])  # about twenty smallest sums
+        events = detect_zero_sums(s, self.N, threshold, nesting_index=self.N // 2)
+        want = np.nonzero(mags < threshold)[0]
+        assert [e.n for e in events] == [int(i) + 1 for i in want]
+        _assert_same_bits([e.magnitude for e in events], mags[want])
+        assert [e.beyond_nesting for e in events] == [int(i) + 1 > self.N // 2 for i in want]
+
+    def test_non_finite_input_rejected(self):
+        for s in (complex(math.nan, 1.0), complex(0.5, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                partial_sum_path(s, 10)
+            with pytest.raises(ValueError, match="finite"):
+                sum_ratio(10, s)
