@@ -6,7 +6,8 @@ violation found, 2 accuracy failure, 3 I/O failure.
 
 Common flags may also come from a flat key=value config file pointed to
 by the ETALAB_CONFIG environment variable; explicit flags win.  Output
-is byte-deterministic for a given configuration regardless of --threads.
+is byte-deterministic for a given configuration.  Scans run serially;
+--threads is accepted (and must be >= 1) for compatibility only.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--cache-dir", default=None, help="directory for the result cache")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads for scans")
+    sub.add_argument("--threads", type=int, default=None, help="accepted for compatibility; scans run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,6 +134,28 @@ def _deliver(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _table(cfg: RunConfig, command: str, config: dict, header, rows, **scan) -> str:
+    """A table as CSV (header + rows) or as a JSON document.
+
+    Scan tables pass ``violations`` and ``skipped`` and get the scan
+    schema; every other table carries its header in the table schema.
+    """
+    if cfg.format != "json":
+        return render_csv(header, rows)
+    data = {"command": command, "rows": [list(r) for r in rows], **scan}
+    if not scan:
+        data["header"] = list(header)
+    schema = "etalab/scan/v1" if scan else "etalab/table/v1"
+    return render_json(json_document(schema, config, data))
+
+
+def _rows(text: str, fmt: str) -> list:
+    """The data rows of rendered CSV or JSON table output, as field lists."""
+    if fmt == "json":
+        return json.loads(text)["data"]["rows"]
+    return [line.split(",") for line in text.strip().split("\n")[1:]]
+
+
 def _fmt_complex(z: complex) -> str:
     if z.imag == 0.0:
         return repr(z.real)
@@ -189,15 +212,8 @@ def cmd_path_export(args) -> int:
     path = partial_sum_path(s, args.n_max)[:: args.stride]
     indices = range(1, args.n_max + 1)[:: args.stride]
     rows = [(n, z.real, z.imag) for n, z in zip(indices, path)]
-    if cfg.format == "json":
-        doc = json_document(
-            "etalab/table/v1",
-            {"sigma": s.real, "t": s.imag, "n_max": args.n_max, "stride": args.stride},
-            {"command": "path-export", "header": ["n", "re", "im"], "rows": rows},
-        )
-        _deliver(render_json(doc), cfg.out)
-    else:
-        _deliver(render_csv(("n", "re", "im"), rows), cfg.out)
+    config = {"sigma": s.real, "t": s.imag, "n_max": args.n_max, "stride": args.stride}
+    _deliver(_table(cfg, "path-export", config, ("n", "re", "im"), rows), cfg.out)
     return 0
 
 
@@ -252,15 +268,8 @@ def cmd_sandwich(args) -> int:
     if args.with_asymptotics:
         header.extend(["gap_exact", "gap_leading", "gap_ratio",
                        "shrunk_exact", "shrunk_leading", "shrunk_ratio"])
-    if cfg.format == "json":
-        doc = json_document(
-            "etalab/table/v1",
-            _scan_config(cfg, sigma=s.real, t=s.imag, n_max=args.n_max),
-            {"command": "sandwich", "header": header, "rows": rows},
-        )
-        _deliver(render_json(doc), cfg.out)
-    else:
-        _deliver(render_csv(header, rows), cfg.out)
+    config = _scan_config(cfg, sigma=s.real, t=s.imag, n_max=args.n_max)
+    _deliver(_table(cfg, "sandwich", config, header, rows), cfg.out)
     failures = [rec for rec in report if not rec.holds]
     if failures:
         sys.stderr.write(f"sandwich violations: {len(failures)} of {len(report)}\n")
@@ -329,28 +338,11 @@ def _scan_config(cfg: RunConfig, **extra) -> dict:
 
 
 def _grid(cfg: RunConfig, args) -> scans.ScanGrid:
-    alpha = getattr(args, "alpha", None)
-    kwargs = dict(
-        alpha_from=cfg.grid_alpha_from,
-        alpha_to=cfg.grid_alpha_to,
-        alpha_step=cfg.grid_alpha_step,
-        t_from=cfg.grid_t_from,
-        t_to=cfg.grid_t_to,
-        t_step=cfg.grid_t_step,
-    )
-    if alpha is not None:
+    alpha_axis = (cfg.grid_alpha_from, cfg.grid_alpha_to, cfg.grid_alpha_step)
+    if args.alpha is not None:
         # one-point alpha axis; any positive step yields a single value
-        kwargs["alpha_from"] = kwargs["alpha_to"] = alpha
-        kwargs["alpha_step"] = 1.0
-    return scans.ScanGrid(**kwargs)
-
-
-def _conjecture_rows(result: scans.ConjectureScanResult):
-    return [
-        (r.alpha, r.t, r.ratio, r.lower, r.upper,
-         "true" if r.pass_lower else "false", "true" if r.pass_upper else "false")
-        for r in result.records
-    ]
+        alpha_axis = (args.alpha, args.alpha, 1.0)
+    return scans.ScanGrid(*alpha_axis, cfg.grid_t_from, cfg.grid_t_to, cfg.grid_t_step)
 
 
 def cmd_scan(args) -> int:
@@ -359,32 +351,23 @@ def cmd_scan(args) -> int:
 
     if args.which == "conjecture":
         grid = _grid(cfg, args)
-        params = {"command": "scan", "which": "conjecture", "precision": cfg.precision,
-                  "grid": [grid.alpha_from, grid.alpha_to, grid.alpha_step,
-                           grid.t_from, grid.t_to, grid.t_step]}
+        extra = {"grid": [grid.alpha_from, grid.alpha_to, grid.alpha_step,
+                          grid.t_from, grid.t_to, grid.t_step]}
         header = ("alpha", "t", "ratio", "lower", "upper", "pass_lower", "pass_upper")
 
-        def compute() -> str:
-            result = scans.scan_conjecture(grid, cfg.precision, cfg.threads)
-            rows = _conjecture_rows(result)
+        def table():
+            result = scans.scan_conjecture(grid, cfg.precision)
             if result.skipped:
                 sys.stderr.write(f"skipped {len(result.skipped)} zero-indistinguishable points\n")
             if result.informational:
                 sys.stderr.write("note: t range extends below 2*pi + 1; bounds are informational there\n")
-            if cfg.format == "json":
-                doc = json_document(
-                    "etalab/scan/v1",
-                    _scan_config(cfg, which="conjecture", grid=params["grid"]),
-                    {
-                        "command": "scan",
-                        "rows": [list(r) for r in rows],
-                        "violations": [[r.alpha, r.t, r.ratio, r.lower, r.upper]
-                                       for r in result.violations],
-                        "skipped": [[p.alpha, p.t, p.reason] for p in result.skipped],
-                    },
-                )
-                return render_json(doc)
-            return render_csv(header, rows)
+            rows = [
+                (r.alpha, r.t, r.ratio, r.lower, r.upper,
+                 "true" if r.pass_lower else "false", "true" if r.pass_upper else "false")
+                for r in result.records
+            ]
+            violations = [[r.alpha, r.t, r.ratio, r.lower, r.upper] for r in result.violations]
+            return rows, violations, [[p.alpha, p.t, p.reason] for p in result.skipped]
 
         def verify_row(fields) -> bool:
             alpha, t = float(fields[0]), float(fields[1])
@@ -395,90 +378,63 @@ def cmd_scan(args) -> int:
             stored = tuple(float(f) for f in fields[2:5])
             return all(abs(a - b) <= 1e-12 for a, b in zip(recomputed, stored))
 
-        def count_violations(text: str) -> int:
-            if cfg.format == "json":
-                return len(json.loads(text)["data"]["violations"])
-            return sum(
-                1 for line in text.strip().split("\n")[1:]
-                if line.endswith(",false") or ",false," in line
-            )
+        def count_violations(rows) -> int:
+            return sum("false" in row for row in rows)
 
     elif args.which == "monotonicity":
         if args.t is None:
             raise ValueError("scan --which monotonicity requires --t")
         grid = _grid(cfg, args)
         alphas = [float(a) for a in grid.alphas()]
-        params = {"command": "scan", "which": "monotonicity", "t": args.t,
-                  "precision": cfg.precision,
-                  "grid": [grid.alpha_from, grid.alpha_to, grid.alpha_step]}
+        extra = {"t": args.t, "grid": [grid.alpha_from, grid.alpha_to, grid.alpha_step]}
         header = ("alpha", "modulus")
 
-        def compute() -> str:
+        def table():
             report = scans.scan_monotonicity(args.t, alphas)
-            rows = list(zip(alphas, report.values))
-            if cfg.format == "json":
-                doc = json_document(
-                    "etalab/scan/v1",
-                    _scan_config(cfg, which="monotonicity", t=args.t, grid=params["grid"]),
-                    {
-                        "command": "scan",
-                        "rows": [list(r) for r in rows],
-                        "violations": [] if report.strictly_decreasing else [list(report.first_violation)],
-                        "skipped": [],
-                    },
-                )
-                return render_json(doc)
-            return render_csv(header, rows)
+            violations = [] if report.strictly_decreasing else [list(report.first_violation)]
+            return list(zip(alphas, report.values)), violations, []
 
         def verify_row(fields) -> bool:
             alpha = float(fields[0])
             value = functional.functional_ratio_modulus(complex(0.5 - alpha, args.t))
             return abs(value - float(fields[1])) <= 1e-12
 
-        def count_violations(text: str) -> int:
-            if cfg.format == "json":
-                return len(json.loads(text)["data"]["violations"])
-            values = [float(line.split(",")[1]) for line in text.strip().split("\n")[1:]]
+        def count_violations(rows) -> int:
+            values = [float(row[1]) for row in rows]
             return sum(1 for a, b in zip(values, values[1:]) if not b < a)
 
     else:  # extrema
         if args.alpha is None:
             raise ValueError("scan --which extrema requires --alpha")
         t_step = min(cfg.grid_t_step, 0.01)
-        params = {"command": "scan", "which": "extrema", "alpha": args.alpha,
-                  "precision": cfg.precision,
-                  "grid": [cfg.grid_t_from, cfg.grid_t_to, t_step]}
+        extra = {"alpha": args.alpha, "grid": [cfg.grid_t_from, cfg.grid_t_to, t_step]}
         header = ("kind", "t", "ratio", "nearest_multiple", "distance")
 
-        def compute() -> str:
+        def table():
             report = scans.extrema_structure(
                 args.alpha, cfg.grid_t_from, cfg.grid_t_to, t_step, cfg.precision
             )
             rows = [("min", r.t, r.ratio, r.nearest_multiple, r.distance) for r in report.minima]
             rows += [("max", r.t, r.ratio, r.nearest_multiple, r.distance) for r in report.maxima]
             rows.sort(key=lambda r: r[1])
-            if cfg.format == "json":
-                doc = json_document(
-                    "etalab/scan/v1",
-                    _scan_config(cfg, which="extrema", alpha=args.alpha, grid=params["grid"]),
-                    {"command": "scan", "rows": [list(r) for r in rows],
-                     "violations": [], "skipped": []},
-                )
-                return render_json(doc)
-            return render_csv(header, rows)
+            return rows, [], []
 
         def verify_row(fields) -> bool:
-            t = float(fields[1])
-            num = oracle.eta(complex(0.5 + args.alpha, t), cfg.precision)
-            den = oracle.eta(complex(0.5 - args.alpha, t), cfg.precision)
-            return abs(abs(num.value) / abs(den.value) - float(fields[2])) <= 1e-12
+            ratio, _ = scans._mirrored_ratio(args.alpha, float(fields[1]), cfg.precision)
+            return abs(ratio - float(fields[2])) <= 1e-12
 
-        def count_violations(text: str) -> int:
+        def count_violations(rows) -> int:
             return 0
 
+    def compute() -> str:
+        rows, violations, skipped = table()
+        config = _scan_config(cfg, which=args.which, **extra)
+        return _table(cfg, "scan", config, header, rows, violations=violations, skipped=skipped)
+
+    params = {"command": "scan", "which": args.which, "precision": cfg.precision, **extra}
     text = _cached_scan(cache, params, cfg.format, compute, verify_row)
     _deliver(text, cfg.out)
-    violations = count_violations(text)
+    violations = count_violations(_rows(text, cfg.format))
     if violations:
         sys.stderr.write(f"scan violations: {violations}\n")
         return 1
@@ -493,26 +449,13 @@ def _cached_scan(cache, params, fmt, compute, verify_row) -> str:
     payload = cache.get(key, fmt)
     if payload is not None:
         text = payload.decode()
-        fields = _pick_row(text, fmt, key)
-        if fields is None or verify_row(fields):
+        rows = _rows(text, fmt)
+        if not rows or verify_row(rows[random.Random(key).randrange(len(rows))]):
             return text
         sys.stderr.write("cache integrity check failed; recomputing\n")
     text = compute()
     cache.put(key, fmt, text.encode())
     return text
-
-
-def _pick_row(text: str, fmt: str, key: str):
-    """One deterministic pseudo-random data row from rendered output."""
-    if fmt == "json":
-        rows = json.loads(text)["data"]["rows"]
-        if not rows:
-            return None
-        return rows[random.Random(key).randrange(len(rows))]
-    lines = text.strip().split("\n")[1:]
-    if not lines:
-        return None
-    return lines[random.Random(key).randrange(len(lines))].split(",")
 
 
 def cmd_verify_zeros(args) -> int:
@@ -526,15 +469,8 @@ def cmd_verify_zeros(args) -> int:
          "true" if c.is_zero_like else "false")
         for c in checks
     ]
-    if cfg.format == "json":
-        doc = json_document(
-            "etalab/table/v1",
-            {"precision": cfg.precision, "table": args.table or "embedded"},
-            {"command": "verify-zeros", "header": list(header), "rows": [list(r) for r in rows]},
-        )
-        _deliver(render_json(doc), cfg.out)
-    else:
-        _deliver(render_csv(header, rows), cfg.out)
+    config = {"precision": cfg.precision, "table": args.table or "embedded"}
+    _deliver(_table(cfg, "verify-zeros", config, header, rows), cfg.out)
     not_zero = [c for c in checks if not c.is_zero_like]
     for c in not_zero:
         sys.stderr.write(f"ordinal {c.ordinal}: |eta(1/2 + {c.t}i)| = {c.magnitude:.3e} marked not-a-zero\n")
@@ -547,15 +483,7 @@ def cmd_approx_deviation(args) -> int:
     reports = [functional.approx_deviation_scan(w, args.step) for w in which]
     header = ("which", "max_deviation", "argmax_sigma", "violations", "grid_step")
     rows = [(r.which, r.max_deviation, r.argmax_sigma, r.violations, r.grid_step) for r in reports]
-    if cfg.format == "json":
-        doc = json_document(
-            "etalab/table/v1",
-            {"step": args.step},
-            {"command": "approx-deviation", "header": list(header), "rows": [list(r) for r in rows]},
-        )
-        _deliver(render_json(doc), cfg.out)
-    else:
-        _deliver(render_csv(header, rows), cfg.out)
+    _deliver(_table(cfg, "approx-deviation", {"step": args.step}, header, rows), cfg.out)
     return 1 if any(r.violations for r in reports) else 0
 
 

@@ -224,6 +224,8 @@ def alpha_sign_changes(n: int, m: int, t: float, alpha_grid) -> int:
     """Sign changes of |P_n| - |P_m| along an alpha grid at fixed t."""
     if n == m:
         raise ValueError("indices must differ")
+    if min(n, m) < 1:
+        raise ValueError(f"indices must be >= 1, got {n} and {m}")
     diffs = []
     for alpha in alpha_grid:
         s = complex(0.5 - alpha, t)

@@ -2,15 +2,15 @@
 
 The scanned quantity is |eta(1/2 + alpha + it) / eta(1/2 - alpha + it)|,
 which equals |P(1/2 - alpha + it)| wherever the denominator is away
-from zero.  Scans are embarrassingly parallel across grid points; rows
-are always assembled in (t, alpha) order so output is deterministic
-regardless of worker count.
+from zero.  Scans run serially; rows are assembled in (t, alpha) order.
+Every axis is validated by ``_axis_count``: finite bounds, a finite
+positive step, and at most ``MAX_SCAN_POINTS`` samples, checked before
+anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,7 @@ from . import functional
 from . import oracle
 
 PI_OVER_LN2 = math.pi / math.log(2.0)
+MAX_SCAN_POINTS = 10**6  # per axis and per grid; the default grid has 4510
 
 
 @dataclass(frozen=True)
@@ -35,23 +36,35 @@ class ScanGrid:
             raise ValueError("alpha range must satisfy 0 <= from <= to < 1/2")
         if not (0.0 < self.t_from <= self.t_to <= 200.0):
             raise ValueError("t range must satisfy 0 < from <= to <= 200")
-        if self.alpha_step <= 0 or self.t_step <= 0:
-            raise ValueError("steps must be positive")
+        if self.cardinality > MAX_SCAN_POINTS:
+            raise ValueError(f"grid has {self.cardinality} points, more than {MAX_SCAN_POINTS}")
 
     def alphas(self) -> np.ndarray:
-        return _axis(self.alpha_from, self.alpha_to, self.alpha_step)
+        return _axis(self.alpha_from, self.alpha_to, self.alpha_step, "alpha")
 
     def ts(self) -> np.ndarray:
         return _axis(self.t_from, self.t_to, self.t_step)
 
     @property
     def cardinality(self) -> int:
-        return len(self.alphas()) * len(self.ts())
+        return (_axis_count(self.alpha_from, self.alpha_to, self.alpha_step, "alpha")
+                * _axis_count(self.t_from, self.t_to, self.t_step, "t"))
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+def _axis_count(lo: float, hi: float, step: float, name: str) -> int:
+    """Number of samples lo + k*step <= hi; rejects axes no scan can run."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"{name} axis needs finite bounds with from <= to, got {lo} to {hi}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"{name}_step must be finite and positive, got {step}")
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_SCAN_POINTS:
+        raise ValueError(f"{name}_step {step} gives more than {MAX_SCAN_POINTS} points on [{lo}, {hi}]")
+    return int(math.floor(span)) + 1
+
+
+def _axis(lo: float, hi: float, step: float, name: str = "t") -> np.ndarray:
+    return lo + step * np.arange(_axis_count(lo, hi, step, name))
 
 
 @dataclass(frozen=True)
@@ -80,12 +93,20 @@ class ConjectureScanResult:
     informational: bool  # True when t_from is below the conjectured range
 
 
-def _bound_check(alpha: float, t: float, target_error: float):
+def _mirrored_ratio(alpha: float, t: float, target_error: float):
+    """|eta(1/2 + alpha + it)| / |eta(1/2 - alpha + it)| and the denominator.
+
+    The ratio is infinite when the denominator is exactly zero.
+    """
     num = oracle.eta(complex(0.5 + alpha, t), target_error)
     den = oracle.eta(complex(0.5 - alpha, t), target_error)
+    return (abs(num.value) / abs(den.value) if den.value else math.inf), den
+
+
+def _bound_check(alpha: float, t: float, target_error: float):
+    ratio, den = _mirrored_ratio(alpha, t, target_error)
     if den.zero_indistinguishable:
         return SkippedPoint(alpha, t, f"denominator zero-indistinguishable (|eta| = {abs(den.value):.2e})")
-    ratio = abs(num.value) / abs(den.value)
     bounds = functional.conjecture_bounds(alpha, t)
     return BoundCheckRecord(
         alpha=alpha,
@@ -101,7 +122,6 @@ def _bound_check(alpha: float, t: float, target_error: float):
 def scan_conjecture(
     grid: ScanGrid,
     target_error: float = oracle.TARGET_FLOOR,
-    threads: int = 1,
 ) -> ConjectureScanResult:
     """One bound check per grid point, ordered by (t, alpha).
 
@@ -109,19 +129,7 @@ def scan_conjecture(
     with a reason instead of producing a record.
     """
     alphas = grid.alphas()
-    ts = grid.ts()
-    points = [(float(t), float(a)) for t in ts for a in alphas]
-
-    def row(point):
-        t, a = point
-        return _bound_check(a, t, target_error)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(row, points, chunksize=64))
-    else:
-        results = [row(p) for p in points]
-
+    results = [_bound_check(float(a), float(t), target_error) for t in grid.ts() for a in alphas]
     records = [r for r in results if isinstance(r, BoundCheckRecord)]
     skipped = [r for r in results if isinstance(r, SkippedPoint)]
     violations = [r for r in records if not (r.pass_lower and r.pass_upper)]
@@ -189,13 +197,7 @@ def extrema_structure(
     if t_step > 0.01:
         raise ValueError(f"t_step must be <= 0.01 to resolve extrema, got {t_step}")
     ts = _axis(t_from, t_to, t_step)
-    vals = np.array(
-        [
-            abs(oracle.eta(complex(0.5 + alpha, t), target_error).value)
-            / abs(oracle.eta(complex(0.5 - alpha, t), target_error).value)
-            for t in ts
-        ]
-    )
+    vals = np.array([_mirrored_ratio(alpha, t, target_error)[0] for t in ts])
     if alpha == 0.0:
         return ExtremaReport(alpha, [], [], 2.0 * PI_OVER_LN2, t_from, t_to)
     smooth = np.convolve(vals, np.ones(3) / 3.0, mode="same")

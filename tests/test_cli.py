@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from etalab.cli import main
 from etalab.emitters import validate_document
@@ -178,35 +179,45 @@ class TestScanCommand:
             assert fields[5] == "true" and fields[6] == "true"
 
     def test_cache_hit_is_byte_identical(self, capsys, tmp_path):
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        cache = tmp_path / "cache"
-        argv = ["scan", "--which", "conjecture", "--alpha", "0.1",
-                "--t-from", "8", "--t-to", "9", "--cache-dir", str(cache)]
-        code, _, _ = run(capsys, *argv, "--out", str(out_a))
-        assert code == 0
-        assert list(cache.glob("*.csv"))
-        code, _, _ = run(capsys, *argv, "--out", str(out_b))
-        assert code == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
+        for fmt in ("csv", "json"):
+            out_a, out_b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+            cache = tmp_path / "cache"
+            argv = ["scan", "--which", "conjecture", "--alpha", "0.1", "--format", fmt,
+                    "--t-from", "8", "--t-to", "9", "--cache-dir", str(cache)]
+            code, _, _ = run(capsys, *argv, "--out", str(out_a))
+            assert code == 0
+            assert list(cache.glob(f"*.{fmt}"))
+            code, _, err = run(capsys, *argv, "--out", str(out_b))
+            assert code == 0
+            assert "cache integrity" not in err
+            assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_corrupted_cache_is_recomputed(self, capsys, tmp_path):
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        cache = tmp_path / "cache"
-        argv = ["scan", "--which", "conjecture", "--alpha", "0.1",
-                "--t-from", "8", "--t-to", "9", "--cache-dir", str(cache)]
-        code, _, _ = run(capsys, *argv, "--out", str(out_a))
-        assert code == 0
-        entry = next(cache.glob("*.csv"))
-        lines = out_a.read_text().splitlines()
-        poisoned = [lines[0]]
-        for line in lines[1:]:  # corrupt the ratio column of every row
-            fields = line.split(",")
-            fields[2] = "0.123456"
-            poisoned.append(",".join(fields))
-        entry.write_text("\n".join(poisoned) + "\n")
-        code, _, err = run(capsys, *argv, "--out", str(out_b))
-        assert code == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
+        for fmt in ("csv", "json"):
+            out_a, out_b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+            cache = tmp_path / "cache"
+            argv = ["scan", "--which", "conjecture", "--alpha", "0.1", "--format", fmt,
+                    "--t-from", "8", "--t-to", "9", "--cache-dir", str(cache)]
+            code, _, _ = run(capsys, *argv, "--out", str(out_a))
+            assert code == 0
+            entry = next(cache.glob(f"*.{fmt}"))
+            if fmt == "json":  # corrupt the ratio column of every row
+                doc = json.loads(out_a.read_text())
+                for row in doc["data"]["rows"]:
+                    row[2] = 0.123456
+                entry.write_text(json.dumps(doc))
+            else:
+                lines = out_a.read_text().splitlines()
+                poisoned = [lines[0]]
+                for line in lines[1:]:
+                    fields = line.split(",")
+                    fields[2] = "0.123456"
+                    poisoned.append(",".join(fields))
+                entry.write_text("\n".join(poisoned) + "\n")
+            code, _, err = run(capsys, *argv, "--out", str(out_b))
+            assert code == 0
+            assert "cache integrity check failed" in err
+            assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_threads_do_not_change_bytes(self, capsys, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -226,6 +237,16 @@ class TestScanCommand:
         assert code == 0
         values = [float(line.split(",")[1]) for line in out_file.read_text().splitlines()[1:]]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_monotonicity_violation_count_matches_across_formats(self, capsys, fmt):
+        # below the conjectured t range the modulus rises in 45 of the 45 steps
+        code, _, err = run(
+            capsys, "scan", "--which", "monotonicity", "--t", "1",
+            "--alpha-step", "0.01", "--format", fmt,
+        )
+        assert code == 1
+        assert err == "scan violations: 45\n"
 
     def test_scan_json_document(self, capsys):
         code, out, _ = run(
@@ -301,6 +322,22 @@ class TestInvalidInput:
             assert code == 2
             assert err.startswith("error:") and "finite" in err
             assert out == ""
+
+    def test_scan_axis_validated(self, capsys):
+        for argv in (("scan", "--t-step", "nan"),
+                     ("scan", "--t-step", "0"),
+                     ("scan", "--alpha-step", "inf"),
+                     ("scan", "--which", "extrema", "--alpha", "0.2", "--t-step", "nan"),
+                     ("scan", "--which", "monotonicity", "--t", "40", "--alpha-step", "nan")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith("error:") and "_step must be finite and positive" in err
+            assert out == ""
+        # refused before a ~1e11-sample axis is allocated
+        code, out, err = run(capsys, "scan", "--t-step", "1e-9")
+        assert code == 2
+        assert err.startswith("error: t_step 1e-09 gives more than 1000000 points")
+        assert out == ""
 
     def test_ratio_n_max_range(self, capsys):
         code, _, err = run(capsys, "ratio", "--sigma", "0.3", "--t", "20", "--n-max", "1")

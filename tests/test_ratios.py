@@ -161,6 +161,9 @@ class TestAlphaDiagnostics:
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
             alpha_sign_changes(7, 7, 20.0, [0.1, 0.2])
+        for n, m in ((0, 5), (5, 0), (-1, 3)):
+            with pytest.raises(ValueError):
+                alpha_sign_changes(n, m, 20.0, [0.1, 0.2])
 
     def test_count_is_finite_and_reported(self):
         grid = np.arange(0.0, 0.21, 0.05)

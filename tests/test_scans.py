@@ -37,6 +37,23 @@ class TestScanGrid:
         with pytest.raises(ValueError):
             ScanGrid(t_step=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"t_step": math.nan}, {"alpha_step": math.nan}, {"t_step": math.inf},
+        {"t_step": 0.0}, {"alpha_step": -0.05}, {"t_to": math.nan},
+    ])
+    def test_non_finite_or_non_positive_step_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="step|t range"):
+            ScanGrid(**kwargs)
+
+    def test_point_cap_checked_before_allocation(self):
+        # ~1.1e11 t samples: refused up front instead of a MemoryError
+        with pytest.raises(ValueError, match="t_step .* more than"):
+            ScanGrid(t_step=1e-9)
+        # each axis within the cap, the product beyond it
+        with pytest.raises(ValueError, match="grid has"):
+            ScanGrid(0.0, 0.45, 1e-4, 10.0, 200.0, 0.1)
+        assert ScanGrid().cardinality == 4510
+
 
 class TestConjectureScan:
     def test_small_grid_passes(self):
@@ -62,12 +79,6 @@ class TestConjectureScan:
         for r in result.records:
             want = functional_ratio_modulus(complex(0.5 - r.alpha, r.t))
             assert abs(r.ratio - want) < 1e-9
-
-    def test_thread_count_does_not_change_results(self):
-        grid = ScanGrid(0.0, 0.3, 0.1, 8.0, 10.0, 0.25)
-        seq = scan_conjecture(grid, threads=1)
-        par = scan_conjecture(grid, threads=4)
-        assert seq.records == par.records
 
     def test_rows_ordered_by_t_then_alpha(self):
         grid = ScanGrid(0.0, 0.2, 0.1, 8.0, 9.0, 0.5)
@@ -123,3 +134,8 @@ class TestExtrema:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             extrema_structure(0.25, 10.0, 12.0, 0.1)
+        for step in (math.nan, 0.0, -0.01, 1e-9):
+            with pytest.raises(ValueError, match="t_step"):
+                extrema_structure(0.25, 10.0, 200.0, step)
+        with pytest.raises(ValueError, match="t axis"):
+            extrema_structure(0.25, 60.0, 10.0, 0.01)
