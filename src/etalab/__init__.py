@@ -35,6 +35,7 @@ from .oracle import (
     OracleValue,
     RemainderRecord,
     eta,
+    eta_many,
     remainder,
     self_check,
     zeta,

@@ -371,7 +371,7 @@ def cmd_scan(args) -> int:
 
         def verify_row(fields) -> bool:
             alpha, t = float(fields[0]), float(fields[1])
-            rec = scans._bound_check(alpha, t, cfg.precision)
+            rec = scans._bound_check(alpha, t, *scans._mirrored_ratio(alpha, t, cfg.precision))
             if not isinstance(rec, scans.BoundCheckRecord):
                 return False
             recomputed = (rec.ratio, rec.lower, rec.upper)
@@ -420,7 +420,7 @@ def cmd_scan(args) -> int:
             return rows, [], []
 
         def verify_row(fields) -> bool:
-            ratio, _ = scans._mirrored_ratio(args.alpha, float(fields[1]), cfg.precision)
+            ratio, *_ = scans._mirrored_ratio(args.alpha, float(fields[1]), cfg.precision)
             return abs(ratio - float(fields[2])) <= 1e-12
 
         def count_violations(rows) -> int:

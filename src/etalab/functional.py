@@ -283,10 +283,10 @@ def sz_relation_deviation(
 
     with a(alpha, t) the ratio of zeta moduli from zeta_modulus_ratio.
     """
-    e_num = oracle.eta(complex(0.5 + alpha, t), target_error)
-    e_den = oracle.eta(complex(0.5 - alpha, t), target_error)
-    if e_den.zero_indistinguishable:
-        raise ZeroDenominator(abs(e_den.value))
-    lhs = abs(e_num.value) / abs(e_den.value)
+    values, bounds = oracle.eta_many([0.5 + alpha, 0.5 - alpha], t, target_error)
+    (num, den), den_bound = values.tolist(), float(bounds[1])
+    if oracle.OracleValue(den, den_bound).zero_indistinguishable:
+        raise ZeroDenominator(abs(den))
+    lhs = abs(num) / abs(den)
     rhs = two_power_alpha_ratio(alpha, t) / zeta_modulus_ratio(alpha, t, target_error)
     return abs(lhs - rhs)

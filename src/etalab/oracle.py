@@ -18,6 +18,16 @@ it.
 
 Values with |value| below ten times the certified bound are flagged
 zero-indistinguishable rather than reported as zeros.
+
+Every evaluation is batched: :func:`eta_many` takes arrays of sigmas
+and ts, and :func:`eta` is its one-point case.  The weights depend only
+on the term count, and the term count only on |t|, so points are
+grouped by term count.  Within a group, each row of points with one |t|
+shares ln k, cos(t ln k) and sin(t ln k), and rows with the same sigmas
+share exp(-sigma ln k).  Sums, certificates and retries are made per
+point exactly as for a single point, so a value and its bound do not
+depend on the batch it came in.  Working memory stays under fixed
+block sizes.
 """
 
 from __future__ import annotations
@@ -39,6 +49,9 @@ _LD = np.longdouble
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_ACC = float(np.finfo(np.longdouble).eps)
 
+_BLOCK = 1 << 12  # terms per pass in one evaluation block
+_CHUNK = 1 << 9  # points certified together
+
 _weights_cache: dict[int, tuple[np.ndarray, np.longdouble]] = {}
 
 
@@ -58,19 +71,6 @@ def _acceleration_weights(n: int):
         b = b * _LD((k + n) * (k - n)) / (_LD(k + 0.5) * _LD(k + 1.0))
     _weights_cache[n] = (w, d)
     return w, d
-
-
-def _accelerated_eta(sigma: float, t_abs: float, n: int) -> tuple[complex, float]:
-    """One acceleration pass; returns (value, weight amplitude)."""
-    w, d = _acceleration_weights(n)
-    k = np.arange(1, n + 1, dtype=_LD)
-    ln = np.log(k)
-    mag = np.exp(_LD(-sigma) * ln)
-    theta = _LD(-t_abs) * ln
-    prod = w * (mag * np.cos(theta) + 1j * (mag * np.sin(theta)))
-    value = complex(prod.sum() / d)
-    amp = float(np.abs(prod).sum() / d)
-    return value, amp
 
 
 @dataclass(frozen=True)
@@ -98,43 +98,176 @@ class RemainderRecord:
     magnitude: float
 
 
-def eta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleValue:
-    """eta(s) with |value - eta(s)| <= abs_error_bound <= target_error.
+def _check_target(target_error: float) -> None:
+    if not math.isfinite(target_error):
+        raise ValueError(f"target_error must be finite, got {target_error}")
+    if target_error < TARGET_FLOOR:
+        raise ValueError(f"target_error must be >= {TARGET_FLOOR:g}")
 
-    Raises AccuracyUnreachable when the certificate cannot reach
-    target_error within max_terms acceleration terms.
-    """
-    s = as_complex(s)
+
+def _check_point(s: complex) -> None:
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError(f"eta oracle requires finite s, got {s}")
     if s.real <= 0.0:
         raise ValueError(f"eta oracle requires Re(s) > 0, got {s.real}")
-    if target_error < TARGET_FLOOR:
-        raise ValueError(f"target_error must be >= {TARGET_FLOOR:g}")
-    t_abs = abs(s.imag)
-    if t_abs > MAX_IM:
-        raise ValueError(f"|Im(s)| = {t_abs:g} outside the supported range <= {MAX_IM:g}")
 
-    digits = -math.log10(target_error)
-    n = int(math.ceil(1.31 * digits + 0.9 * t_abs)) + 4
-    while True:
-        n_check = int(math.ceil(1.2 * n)) + 8
-        if n_check > max_terms:
-            raise AccuracyUnreachable(
-                f"cannot certify {target_error:g} at s = {s} within {max_terms} terms"
+
+def _validate(sigmas, ts, target_error: float):
+    """The oracle's one validator; returns sigmas and ts broadcast together.
+
+    The first bad point in C order is reported, and the checks run in
+    the order a one-point call makes them: finite s, Re(s) > 0, then
+    target_error (finite and >= TARGET_FLOOR), then |Im(s)| <= MAX_IM.
+    The returned arrays are broadcast views, not copies.
+    """
+    sig, t = np.broadcast_arrays(np.asarray(sigmas, dtype=np.float64), np.asarray(ts, dtype=np.float64))
+    # NaN fails every comparison, so this also rejects non-finite input
+    bad = np.flatnonzero(~((sig > 0.0) & (sig < math.inf) & (np.abs(t) <= MAX_IM)))
+    if bad.size and bad[0] == 0:
+        _check_point(complex(sig.flat[0], t.flat[0]))
+    _check_target(target_error)
+    if bad.size:
+        s = complex(sig.flat[bad[0]], t.flat[bad[0]])
+        _check_point(s)
+        raise ValueError(f"|Im(s)| = {abs(s.imag):g} outside the supported range <= {MAX_IM:g}")
+    return sig, t
+
+
+def _leading(mask) -> int:
+    """Number of leading True entries of a boolean array."""
+    return mask.size if mask.all() else int(mask.argmin())
+
+
+def _blocks(sig, t_abs, cap: int):
+    """Split points into blocks (lo, rows, width) of at most cap points.
+
+    A row is a run of points with one |t|, cut at cap points.  A block
+    is one row, or `rows` consecutive rows of `width` points each, with
+    the sigmas of the first, in at most cap // 2 points: batching narrow
+    rows further gains little and raises the peak memory.
+    """
+    lo = 0
+    while lo < sig.size:
+        width = _leading(t_abs[lo : lo + cap] == t_abs[lo])
+        stop = lo + max(1, min(cap // 2, sig.size - lo) // width) * width
+        ts = t_abs[lo:stop].reshape(-1, width)
+        sigmas = sig[lo:stop].reshape(-1, width)
+        rows = _leading(((ts == ts[:, :1]) & (sigmas == sigmas[0])).all(axis=1))
+        yield lo, rows, width
+        lo += rows * width
+
+
+def _passes(sig, t_abs, n: int, n_check: int, ln):
+    """Coarse (n terms) and checked (n_check terms) sums, and the amplitude.
+
+    Per block (see _blocks), cos and sin(-|t| ln k) are computed once
+    per row, and exp(-sigma ln k) once per sigma of the first row, kept
+    while the next block has the same sigmas; the two combine by
+    broadcasting.  Both are computed for k <= n_check, and the coarse
+    pass reads their first n columns.  Each pass reduces along the last
+    axis, with the roundings of w * (mag cos + 1j mag sin).
+    """
+    coarse = np.empty(sig.size, dtype=np.complex128)
+    value = np.empty(sig.size, dtype=np.complex128)
+    amp = np.empty(sig.size)
+    pattern = None
+    for lo, rows, width in _blocks(sig, t_abs, max(1, _BLOCK // n_check)):
+        hi = lo + rows * width
+        if pattern is None or not np.array_equal(sig[lo : lo + width], pattern):
+            pattern = sig[lo : lo + width]
+            mag = np.exp((-pattern).astype(_LD)[:, None] * ln)
+        theta = (-t_abs[lo:hi:width]).astype(_LD)[:, None, None] * ln
+        cos, sin = np.cos(theta), np.sin(theta)
+        for m, out in ((n_check, value), (n, coarse)):
+            w, d = _acceleration_weights(m)
+            prod = 1j * (mag[:, :m] * sin[..., :m])  # w * (mag cos + 1j mag sin), in place
+            prod += mag[:, :m] * cos[..., :m]
+            prod *= w
+            out[lo:hi] = (prod.sum(axis=-1) / d).ravel()
+            if m == n_check:
+                amp[lo:hi] = (np.abs(prod).sum(axis=-1) / d).ravel()
+            del prod  # before the next pass builds its own
+    return coarse, value, amp
+
+
+def _certify(sig, t, target_error: float, max_terms: int):
+    """Values and bounds at points of one chunk, in rounds by term count.
+
+    Points are grouped by term count n, which depends only on |t|.  A
+    point whose certificate misses the target moves on to the next
+    round with n = n_check.  Raises AccuracyUnreachable for the first
+    point whose n_check exceeds max_terms.
+    """
+    t_abs = np.abs(t)
+    n = np.ceil(1.31 * -math.log10(target_error) + 0.9 * t_abs) + 4.0
+    values = np.empty(sig.size, dtype=np.complex128)
+    bounds = np.empty(sig.size)
+    failed = sig.size
+    pending = np.arange(sig.size)
+    while pending.size:
+        n_check = np.ceil(1.2 * n[pending]) + 8.0
+        if max(n_check.tolist()) > max_terms:  # drop the first such point and all after it
+            failed = int(pending[n_check > max_terms][0])
+            keep = pending < failed
+            pending, n_check = pending[keep], n_check[keep]
+        counts = sorted(set(n_check.tolist()))
+        if not counts:
+            break
+        ln = np.log(np.arange(1, counts[-1] + 1, dtype=_LD))
+        retry = np.zeros(sig.size, dtype=bool)
+        for nc in map(int, counts):
+            g = pending[n_check == nc]
+            coarse, value, amp = _passes(sig[g], t_abs[g], int(n[g[0]]), nc, ln[:nc])
+            diff = coarse - value
+            floor = 1e-15 * (1.0 + np.hypot(value.real, value.imag)) + _EPS_ACC * amp * (
+                4.0 + 2.0 * t_abs[g] * math.log(nc) + 2.0 * nc
             )
-        coarse, _ = _accelerated_eta(s.real, t_abs, n)
-        value, amp = _accelerated_eta(s.real, t_abs, n_check)
-        gap = abs(coarse - value)
-        floor = 1e-15 * (1.0 + abs(value)) + _EPS_ACC * amp * (
-            4.0 + 2.0 * t_abs * math.log(n_check) + 2.0 * n_check
+            bound = 2.0 * np.hypot(diff.real, diff.imag) + floor
+            done = bound <= target_error
+            values[g[done]] = value[done]
+            bounds[g[done]] = bound[done]
+            n[g[~done]] = nc
+            retry[g[~done]] = True
+        pending = np.flatnonzero(retry)
+    if failed < sig.size:
+        raise AccuracyUnreachable(
+            f"cannot certify {target_error:g} at s = {complex(sig[failed], t[failed])}"
+            f" within {max_terms} terms"
         )
-        bound = 2.0 * gap + floor
-        if bound <= target_error:
-            if s.imag < 0:
-                value = value.conjugate()
-            return OracleValue(value, bound)
-        n = n_check
+    negative = t < 0
+    values[negative] = values[negative].conjugate()
+    return values, bounds
+
+
+def eta_many(sigmas, ts, target_error: float = TARGET_FLOOR, max_terms: int = 400):
+    """eta(sigma + i t) at every point of the broadcast of sigmas and ts.
+
+    Returns (values, bounds): complex128 and float64 arrays of the
+    broadcast shape with |value - eta| <= bound <= target_error, each
+    pair bit-identical to a one-point call.  The points are validated
+    first, then certified in C-order chunks of _CHUNK points, so
+    AccuracyUnreachable names the first point in C order whose
+    certificate cannot reach target_error within max_terms terms.
+    """
+    sig, t = _validate(sigmas, ts, target_error)
+    values = np.empty(sig.size, dtype=np.complex128)
+    bounds = np.empty(sig.size)
+    for lo in range(0, sig.size, _CHUNK):
+        hi = lo + _CHUNK
+        values[lo:hi], bounds[lo:hi] = _certify(sig.flat[lo:hi], t.flat[lo:hi], target_error, max_terms)
+    return values.reshape(sig.shape), bounds.reshape(sig.shape)
+
+
+def eta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleValue:
+    """eta(s) with |value - eta(s)| <= abs_error_bound <= target_error.
+
+    The one-point case of :func:`eta_many`.  Raises AccuracyUnreachable
+    when the certificate cannot reach target_error within max_terms
+    acceleration terms.
+    """
+    s = as_complex(s)
+    value, bound = eta_many(s.real, s.imag, target_error, max_terms)
+    return OracleValue(complex(value), float(bound))
 
 
 _POLE_SPACING = 2.0 * math.pi / math.log(2.0)

@@ -2,7 +2,8 @@
 
 The scanned quantity is |eta(1/2 + alpha + it) / eta(1/2 - alpha + it)|,
 which equals |P(1/2 - alpha + it)| wherever the denominator is away
-from zero.  Scans run serially; rows are assembled in (t, alpha) order.
+from zero.  Scans run serially; rows are assembled in (t, alpha) order,
+and each scan makes one batched oracle call for its whole axis product.
 Every axis is validated by ``_axis_count``: finite bounds, a finite
 positive step, and at most ``MAX_SCAN_POINTS`` samples, checked before
 anything is allocated.
@@ -93,20 +94,31 @@ class ConjectureScanResult:
     informational: bool  # True when t_from is below the conjectured range
 
 
-def _mirrored_ratio(alpha: float, t: float, target_error: float):
-    """|eta(1/2 + alpha + it)| / |eta(1/2 - alpha + it)| and the denominator.
+def _mirrored_ratios(alphas, ts, target_error: float):
+    """|eta(1/2 + alpha + it)| / |eta(1/2 - alpha + it)| over ts x alphas.
 
-    The ratio is infinite when the denominator is exactly zero.
+    One oracle call for the whole axis product, in (t, alpha) order with
+    each numerator before its denominator.  Returns (ratio, den_abs,
+    den_bound) arrays of shape (len(ts), len(alphas)); the ratio is
+    infinite where the denominator is exactly zero.
     """
-    num = oracle.eta(complex(0.5 + alpha, t), target_error)
-    den = oracle.eta(complex(0.5 - alpha, t), target_error)
-    return (abs(num.value) / abs(den.value) if den.value else math.inf), den
+    alphas = np.asarray(alphas, dtype=np.float64)
+    sigmas = np.stack([0.5 + alphas, 0.5 - alphas], axis=-1)
+    ts = np.asarray(ts, dtype=np.float64)[:, None, None]
+    values, bounds = oracle.eta_many(sigmas, ts, target_error)
+    num_abs, den_abs = np.hypot(values.real, values.imag).transpose(2, 0, 1)
+    ratio = np.divide(num_abs, den_abs, out=np.full(den_abs.shape, math.inf), where=values[..., 1] != 0)
+    return ratio, den_abs, bounds[..., 1]
 
 
-def _bound_check(alpha: float, t: float, target_error: float):
-    ratio, den = _mirrored_ratio(alpha, t, target_error)
-    if den.zero_indistinguishable:
-        return SkippedPoint(alpha, t, f"denominator zero-indistinguishable (|eta| = {abs(den.value):.2e})")
+def _mirrored_ratio(alpha: float, t: float, target_error: float):
+    """(ratio, den_abs, den_bound) of :func:`_mirrored_ratios` at one point."""
+    return tuple(float(a[0, 0]) for a in _mirrored_ratios([alpha], [t], target_error))
+
+
+def _bound_check(alpha: float, t: float, ratio: float, den_abs: float, den_bound: float):
+    if den_abs < oracle.ZERO_INDISTINGUISHABLE_FACTOR * den_bound:
+        return SkippedPoint(alpha, t, f"denominator zero-indistinguishable (|eta| = {den_abs:.2e})")
     bounds = functional.conjecture_bounds(alpha, t)
     return BoundCheckRecord(
         alpha=alpha,
@@ -128,8 +140,13 @@ def scan_conjecture(
     Points where the denominator is zero-indistinguishable are skipped
     with a reason instead of producing a record.
     """
-    alphas = grid.alphas()
-    results = [_bound_check(float(a), float(t), target_error) for t in grid.ts() for a in alphas]
+    alphas, ts = grid.alphas(), grid.ts()
+    ratio, den_abs, den_bound = (a.tolist() for a in _mirrored_ratios(alphas, ts, target_error))
+    results = [
+        _bound_check(alpha, t, ratio[i][j], den_abs[i][j], den_bound[i][j])
+        for i, t in enumerate(ts.tolist())
+        for j, alpha in enumerate(alphas.tolist())
+    ]
     records = [r for r in results if isinstance(r, BoundCheckRecord)]
     skipped = [r for r in results if isinstance(r, SkippedPoint)]
     violations = [r for r in records if not (r.pass_lower and r.pass_upper)]
@@ -151,6 +168,8 @@ class MonotonicityReport:
 
 def scan_monotonicity(t: float, alpha_grid) -> MonotonicityReport:
     """Strict decrease of |P(1/2 - alpha + it)| along an ascending grid."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     alphas = [float(a) for a in alpha_grid]
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be strictly ascending")
@@ -192,14 +211,16 @@ def extrema_structure(
     three-point comparison, which suppresses spurious flat-region
     extrema at the oracle noise scale.  Minima sit near even multiples
     of pi/ln 2 and maxima are reported against odd multiples; distances
-    are reported, not asserted.
+    are reported, not asserted.  At alpha = 0 the ratio is identically
+    1: the axis is validated and nothing is evaluated.
     """
     if t_step > 0.01:
         raise ValueError(f"t_step must be <= 0.01 to resolve extrema, got {t_step}")
     ts = _axis(t_from, t_to, t_step)
-    vals = np.array([_mirrored_ratio(alpha, t, target_error)[0] for t in ts])
-    if alpha == 0.0:
+    if alpha == 0.0:  # the ratio is identically 1: validate, evaluate nothing
+        oracle._validate(0.5, ts, target_error)
         return ExtremaReport(alpha, [], [], 2.0 * PI_OVER_LN2, t_from, t_to)
+    vals = _mirrored_ratios([alpha], ts, target_error)[0][:, 0]
     smooth = np.convolve(vals, np.ones(3) / 3.0, mode="same")
     minima: list[ExtremumRecord] = []
     maxima: list[ExtremumRecord] = []

@@ -56,11 +56,10 @@ def verify_zeros(
     entries=None, target_error: float = oracle.TARGET_FLOOR
 ) -> list[ZeroCheck]:
     """|eta(1/2 + it)| for each table entry, flagged against the tolerance."""
-    if entries is None:
-        entries = KNOWN_ZEROS
+    entries = KNOWN_ZEROS if entries is None else list(entries)
+    values, bounds = oracle.eta_many(0.5, [entry.t for entry in entries], target_error)
     checks = []
-    for entry in entries:
-        value = oracle.eta(complex(0.5, entry.t), target_error)
+    for entry, value in zip(entries, map(oracle.OracleValue, values.tolist(), bounds.tolist())):
         checks.append(
             ZeroCheck(
                 ordinal=entry.ordinal,

@@ -339,6 +339,23 @@ class TestInvalidInput:
         assert err.startswith("error: t_step 1e-09 gives more than 1000000 points")
         assert out == ""
 
+    def test_non_finite_precision(self, capsys):
+        for argv in (("eta", "--sigma", "0.5", "--t", "5", "--precision", "inf"),
+                     ("eta", "--sigma", "0.5", "--t", "5", "--precision", "nan"),
+                     ("zeta", "--sigma", "0.5", "--t", "5", "--precision", "inf"),
+                     ("verify-zeros", "--precision", "inf")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert err == f"error: target_error must be finite, got {argv[-1]}\n"
+            assert out == ""
+
+    def test_monotonicity_non_finite_t(self, capsys):
+        for t in ("nan", "inf", "-inf"):
+            code, out, err = run(capsys, "scan", "--which", "monotonicity", f"--t={t}")
+            assert code == 2
+            assert err == f"error: t must be finite, got {t}\n"
+            assert out == ""
+
     def test_ratio_n_max_range(self, capsys):
         code, _, err = run(capsys, "ratio", "--sigma", "0.3", "--t", "20", "--n-max", "1")
         assert code == 2

@@ -7,6 +7,7 @@ brute-force summation (self_check) before anything else leans on it.
 
 import math
 
+import numpy as np
 import pytest
 
 from etalab import (
@@ -14,8 +15,10 @@ from etalab import (
     DenominatorPole,
     eta,
     gamma,
+    oracle,
     partial_sum,
     remainder,
+    scans,
     self_check,
     zeta,
 )
@@ -176,3 +179,200 @@ class TestSelfConsistency:
             v = eta(s)
             direct = partial_sum(10**6, s)
             assert abs(v.value - direct) <= (10**6) ** -s.real + v.abs_error_bound
+
+
+# The per-point two-pass loop that eta_many replaced, written out apart
+# from it.  The batched oracle must reproduce it bit for bit.
+def _ref_pass(sigma: float, t_abs: float, n: int):
+    w, d = oracle._acceleration_weights(n)
+    k = np.arange(1, n + 1, dtype=np.longdouble)
+    ln = np.log(k)
+    mag = np.exp(np.longdouble(-sigma) * ln)
+    theta = np.longdouble(-t_abs) * ln
+    prod = w * (mag * np.cos(theta) + 1j * (mag * np.sin(theta)))
+    return complex(prod.sum() / d), float(np.abs(prod).sum() / d)
+
+
+def _ref_eta(s: complex, target_error: float, max_terms: int = 400):
+    """(value, bound, rounds) of the per-point certificate loop."""
+    t_abs = abs(s.imag)
+    n = int(math.ceil(1.31 * -math.log10(target_error) + 0.9 * t_abs)) + 4
+    rounds = 0
+    while True:
+        n_check = int(math.ceil(1.2 * n)) + 8
+        if n_check > max_terms:
+            raise AccuracyUnreachable(f"cannot certify at s = {s}")
+        coarse, _ = _ref_pass(s.real, t_abs, n)
+        value, amp = _ref_pass(s.real, t_abs, n_check)
+        floor = 1e-15 * (1.0 + abs(value)) + oracle._EPS_ACC * amp * (
+            4.0 + 2.0 * t_abs * math.log(n_check) + 2.0 * n_check
+        )
+        bound = 2.0 * abs(coarse - value) + floor
+        rounds += 1
+        if bound <= target_error:
+            return (value.conjugate() if s.imag < 0 else value), bound, rounds
+        n = n_check
+
+
+def _ref_eta_many(sigmas, ts, target_error=oracle.TARGET_FLOOR, max_terms=400):
+    sig, t = np.broadcast_arrays(np.asarray(sigmas, dtype=float), np.asarray(ts, dtype=float))
+    values = np.empty(sig.shape, dtype=complex)
+    bounds = np.empty(sig.shape)
+    for i in np.ndindex(sig.shape):
+        values[i], bounds[i], _ = _ref_eta(complex(sig[i], t[i]), target_error, max_terms)
+    return values, bounds
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _random_points(seed: int, size: int):
+    """sigma in (0, 1], t in [-200, 200] with both signs, repeats and duplicates."""
+    rng = np.random.default_rng(seed)
+    sigmas = 1.0 - rng.random(size)
+    ts = rng.uniform(-200.0, 200.0, size)
+    ts[1::5] = -ts[::5][: ts[1::5].size]  # |t| shared with the opposite sign
+    sigmas[2::7] = sigmas[0]  # one sigma at many heights
+    sigmas[-10:], ts[-10:] = sigmas[:10], ts[:10]  # duplicate points
+    return sigmas, ts
+
+
+@pytest.fixture
+def perturbed_weights(monkeypatch):
+    """Spoil the weights below a term count, so a certificate there fails."""
+    exact = oracle._acceleration_weights
+
+    def install(below: int):
+        def weights(n):
+            w, d = exact(n)
+            return (w * np.longdouble(1.0 + 1.0 / n), d) if n < below else (w, d)
+
+        monkeypatch.setattr(oracle, "_acceleration_weights", weights)
+
+    return install
+
+
+class TestBatchMatchesReference:
+    @pytest.mark.parametrize("target", [1e-13, 1e-9, 1e-6])
+    def test_random_points(self, target):
+        sigmas, ts = _random_points(7, 300)
+        values, bounds = oracle.eta_many(sigmas, ts, target)
+        want_values, want_bounds = _ref_eta_many(sigmas, ts, target)
+        _assert_same_bits(values, want_values)
+        _assert_same_bits(bounds, want_bounds)
+        # mixed term counts, so several groups share a call
+        counts = {int(math.ceil(1.31 * -math.log10(target) + 0.9 * abs(t))) for t in ts}
+        assert len(counts) > 100
+
+    def test_axis_product(self):
+        # the shape the scans use: rows of one t with every sigma, which
+        # the oracle combines by broadcasting
+        alphas = np.arange(0.0, 0.46, 0.05)
+        sigmas = np.stack([0.5 + alphas, 0.5 - alphas], axis=-1)
+        ts = (-150.0 + 0.25 * np.arange(60))[:, None, None]
+        values, bounds = oracle.eta_many(sigmas, ts, 1e-9)
+        assert values.shape == bounds.shape == (60, 10, 2)
+        want_values, want_bounds = _ref_eta_many(sigmas, ts, 1e-9)
+        _assert_same_bits(values, want_values)
+        _assert_same_bits(bounds, want_bounds)
+
+    def test_one_point_case(self):
+        for s in (0.404 + 147.0j, 0.3 - 20.0j, 1.0 + 0.0j, complex(0.5, -0.0), 1e-8 + 200.0j):
+            v = eta(s, 1e-10)
+            want, bound, _ = _ref_eta(s, 1e-10)
+            _assert_same_bits(v.value, want)
+            _assert_same_bits(v.abs_error_bound, bound)
+        value, bound = oracle.eta_many(0.5, 10.0)
+        assert value.shape == bound.shape == ()
+
+    def test_retry_round(self, perturbed_weights):
+        # below 45 terms a pass is off by a factor 1 + 1/n, so the points
+        # near t = 20 (n <= 35, n_check >= 48) miss the target once and
+        # are certified in a second round with n = n_check; the points
+        # with |t| >= 40 (n >= 52) are not touched
+        perturbed_weights(45)
+        sigmas, ts = _random_points(11, 60)
+        ts[:20] = np.linspace(19.0, 21.0, 20)
+        ts[20:] = np.copysign(40.0 + np.abs(ts[20:]) * 0.8, ts[20:])
+        values, bounds = oracle.eta_many(sigmas, ts, 1e-9)
+        rounds = [_ref_eta(complex(s, t), 1e-9)[2] for s, t in zip(sigmas, ts)]
+        assert rounds[:20] == [2] * 20 and set(rounds[20:]) == {1}
+        want_values, want_bounds = _ref_eta_many(sigmas, ts, 1e-9)
+        _assert_same_bits(values, want_values)
+        _assert_same_bits(bounds, want_bounds)
+
+    def test_empty(self):
+        values, bounds = oracle.eta_many([], [], 1e-9)
+        assert values.shape == bounds.shape == (0,)
+
+
+class TestBatchErrors:
+    def test_unreachable_names_the_first_point_in_input_order(self):
+        ts = [10.0, 150.0, 5.0, 160.0]  # only |t| >= 150 needs more than 60 terms
+        with pytest.raises(AccuracyUnreachable, match=r"s = \(0\.3\+150j\) within 60 terms"):
+            oracle.eta_many(0.3, ts, 1e-13, max_terms=60)
+
+    def test_later_round_failure_comes_first_in_input_order(self, perturbed_weights):
+        # no certificate can pass now: the point at t = 10 runs out of
+        # terms only after a few retry rounds, the one at t = 150 at once
+        perturbed_weights(10**6)
+        with pytest.raises(AccuracyUnreachable, match=r"s = \(0\.3\+10j\)"):
+            oracle.eta_many(0.3, [10.0, 150.0], 1e-13)
+        with pytest.raises(AccuracyUnreachable, match=r"s = \(0\.3\+10j\)"):
+            oracle.eta_many(0.3, [10.0] + [150.0] * 600, 1e-13)  # more points than a chunk
+
+    @pytest.mark.parametrize("target", [math.inf, math.nan, -math.inf])
+    def test_non_finite_target(self, target):
+        with pytest.raises(ValueError, match="target_error must be finite"):
+            oracle.eta_many([0.5], [10.0], target)
+        with pytest.raises(ValueError, match="target_error must be finite"):
+            eta(0.5 + 10.0j, target)
+
+    def test_first_bad_point_in_input_order(self):
+        with pytest.raises(ValueError, match=r"\|Im\(s\)\| = 250 outside"):
+            oracle.eta_many([0.5, 0.5, -1.0], [1.0, 250.0, 1.0])
+        with pytest.raises(ValueError, match=r"Re\(s\) > 0, got -1.0"):
+            oracle.eta_many([0.5, -1.0, 0.5], [1.0, 1.0, 250.0])
+        with pytest.raises(ValueError, match=r"finite s, got \(0.5\+nanj\)"):
+            oracle.eta_many(0.5, [1.0, 2.0, math.nan])
+        # as for one point, the target is checked after the first point's
+        # finiteness and sign, and before any height
+        with pytest.raises(ValueError, match="target_error must be >= 1e-13"):
+            oracle.eta_many(0.5, [1.0, 250.0], 1e-14)
+        with pytest.raises(ValueError, match="target_error must be >= 1e-13"):
+            oracle.eta_many([0.5, -1.0], 1.0, 1e-14)
+        with pytest.raises(ValueError, match=r"finite s, got \(nan\+1j\)"):
+            oracle.eta_many([math.nan, 0.5], 1.0, 1e-14)
+
+
+def _per_point_oracle(monkeypatch):
+    """Route every oracle call of the scans through the per-point loop."""
+    monkeypatch.setattr(oracle, "eta_many", _ref_eta_many)
+
+
+class TestScansMatchPerPointOracle:
+    def test_scan_conjecture(self, monkeypatch):
+        grid = scans.ScanGrid(0.0, 0.45, 0.15, 14.0, 19.0, 0.5)
+        batched = scans.scan_conjecture(grid, 1e-9)
+        _per_point_oracle(monkeypatch)
+        assert scans.scan_conjecture(grid, 1e-9) == batched
+        assert len(batched.records) + len(batched.skipped) == 44
+
+    def test_extrema_structure(self, monkeypatch):
+        batched = scans.extrema_structure(0.2, 40.0, 43.0, 0.01, 1e-9)
+        _per_point_oracle(monkeypatch)
+        assert scans.extrema_structure(0.2, 40.0, 43.0, 0.01, 1e-9) == batched
+        assert batched.minima or batched.maxima
+
+    def test_extrema_at_alpha_zero_evaluates_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle was called")
+
+        monkeypatch.setattr(oracle, "eta_many", refuse)
+        report = scans.extrema_structure(0.0, 10.0, 60.0, 0.01)
+        assert report.minima == [] and report.maxima == []
+        with pytest.raises(ValueError, match="outside the supported range"):
+            scans.extrema_structure(0.0, 195.0, 201.0, 0.01)

@@ -108,6 +108,11 @@ class TestMonotonicityScan:
         with pytest.raises(ValueError):
             scan_monotonicity(40.0, [0.2, 0.1])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            scan_monotonicity(t, [0.1, 0.2])
+
 
 class TestExtrema:
     def test_alpha_zero_has_no_extrema(self):
