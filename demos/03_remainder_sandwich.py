@@ -39,10 +39,11 @@ r = rows[0]
 print(f"first row: {r.lower:.5f} < {r.measured:.5f} < {r.upper:.5f}")
 
 # The exact disk gap approaches its leading-order form as n grows; a
-# drifting ratio would flag a transcription slip in the geometry.
-for n in (10**4, 10**5, 10**6):
-    rec = nesting_gap_record(n, 0.5 + 20.0j)
-    print(f"n = {n:7d}: exact/leading = {rec.ratio:.5f}")
+# drifting ratio would flag a transcription slip in the geometry.  The
+# records take an index array as well as a single index.
+ladder = np.array([10**4, 10**5, 10**6])
+for n, ratio in zip(ladder, nesting_gap_record(ladder, 0.5 + 20.0j).ratio):
+    print(f"n = {n:7d}: exact/leading = {ratio:.5f}")
 half = shrunk_gap_record(10**6, 0.5 + 20.0j, 0.5)
 quarter = shrunk_gap_record(10**6, 0.5 + 20.0j, 0.25)
 print("shrunk-disk gaps scale with the square of the shrink factor:",

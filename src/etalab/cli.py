@@ -257,15 +257,15 @@ def cmd_sandwich(args) -> int:
         s, cfg.epsilon, start, start + args.n_max - 1, cfg.precision, diag
     )
     header = ["n", "lower", "measured", "upper", "holds"]
-    rows = []
-    for rec in report:
-        row = [rec.n, rec.lower, rec.measured, rec.upper, "true" if rec.holds else "false"]
-        if args.with_asymptotics:
-            full = asymptotics.nesting_gap_record(rec.n, s)
-            half = asymptotics.shrunk_gap_record(rec.n, s, cfg.epsilon)
-            row.extend([full.exact, full.leading, full.ratio, half.exact, half.leading, half.ratio])
-        rows.append(tuple(row))
+    rows = [(rec.n, rec.lower, rec.measured, rec.upper, "true" if rec.holds else "false")
+            for rec in report]
     if args.with_asymptotics:
+        ns = np.arange(start, start + len(report))
+        full = asymptotics.nesting_gap_record(ns, s)
+        half = asymptotics.shrunk_gap_record(ns, s, cfg.epsilon)
+        columns = zip(*(a.tolist() for a in (full.exact, full.leading, full.ratio,
+                                              half.exact, half.leading, half.ratio)))
+        rows = [row + extra for row, extra in zip(rows, columns)]
         header.extend(["gap_exact", "gap_leading", "gap_ratio",
                        "shrunk_exact", "shrunk_leading", "shrunk_ratio"])
     config = _scan_config(cfg, sigma=s.real, t=s.imag, n_max=args.n_max)
@@ -286,10 +286,11 @@ def cmd_ratio(args) -> int:
     s = complex(args.sigma, args.t)
     ratios._check_pair(args.n_max)
     ratios._check_ceiling(args.n_max)
+    nesting = orbit.nesting_start(s)  # also validates s before the long pass
     path, mag, _ = ratios.sum_ratio_path(s, args.n_max)
     estimate = ratios._limit(path, mag)
     ratio = functional.functional_ratio(s)
-    events = ratios._zero_events(mag, 1, args.zero_threshold, orbit.nesting_start(s))
+    events = ratios._zero_events(mag, 1, args.zero_threshold, nesting)
     env_from = max(1, args.n_max - 200)
     envelope = ratios._envelope(path, env_from, functional.functional_ratio_modulus(s))
     doc = json_document(

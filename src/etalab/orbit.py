@@ -8,21 +8,32 @@ Beyond the index where the margin stays positive the path is trapped:
 the convergence point lies in every later disk, which sandwiches the
 remainder magnitude |R_n| between (1-eps)/(2 n^sigma) and n^(-sigma).
 
-All trigonometric quantities are evaluated exactly (no truncated
-expansions): near the sign transition the margin is minuscule compared
-with its terms and the expansions are nowhere near sharp enough.
-"Stays positive" is operationalised as a stable run of configurable
-length, scanned in vectorised blocks up to a ceiling.
+One private block kernel, `_geometry`, evaluates the geometry at an
+index array; every function here is a view of it.  Per index it takes
+L0 = log1p(1/n), L1 = log1p(1/(n+1)), the turn angles d1 = t L0 and
+d2 = t L1, 1 - a = -expm1(-sigma L0), b - 1 = expm1(sigma L1) (a = p0/p1,
+b = p2/p1, pk = (n+k)^sigma) and c(x) = 2 sin^2(x/2).  The margin is
+p1^2 B, where d1 - d2 = t log1p(1/(n(n+2))) and the bracket
 
-Any sigma in (0, 1) is accepted, but the start indices grow roughly
-like t^2 / sigma^2, so scans near the left strip edge take accordingly
-longer and may hit the ceiling.
+    B = (1-a)(b-1) - c(d1) c(d2) - c(d1-d2)/2 - (b-1) c(d1) + (1-a) c(d2)
+      = (1-a - c(d1)) (b-1 + c(d2)) - c(d1-d2)/2
+
+has only small terms, so its sign holds where the margin is minuscule
+beside the size-p1^2 terms of the textbook form.  The disk centre and
+radius gaps come from the same quantities.  "Stays positive" is a
+stable run of configurable length; one sweep in blocks up to a ceiling
+tracks the margin, the shrunk-disk containment or both.  Points are
+validated as the oracle validates its own (finite, sigma > 0,
+|t| <= 200) before any sweep.  The nesting start grows like
+t^2 / (2 sigma), so scans near the left strip edge take longer and may
+hit the ceiling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,142 +106,164 @@ def angle_threshold(t: float) -> int:
     return max(1, math.ceil(1.0 / math.expm1(math.pi / (2.0 * t))))
 
 
+class _Geometry(NamedTuple):
+    """The geometry at an index array; lengths in units of segment n+1 (1/p1)."""
+
+    d1: np.ndarray  # turn angles between segments n, n+1 and n+1, n+2
+    d2: np.ndarray
+    bracket: np.ndarray | None = None  # B; the nesting margin is p1^2 B
+    r2: np.ndarray | None = None  # radius of the disk on segment n+2
+    rgap: np.ndarray | None = None  # radius of the disk on segment n, minus r2
+    gx: np.ndarray | None = None  # centre of disk n+2 minus centre of disk n
+    gy: np.ndarray | None = None
+    p1: np.ndarray | None = None
+
+
+def _c(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 - cos x, as 2 sin^2(x/2) so that small angles keep their digits."""
+    h = np.multiply(x, 0.5, out=out)
+    np.sin(h, out=h)
+    h *= h
+    h *= 2.0
+    return h
+
+
+def _geometry(n, sigma, t, bracket=True, disks=True, lengths=False) -> _Geometry:
+    """The one evaluation of the orbit geometry (see the module docstring).
+
+    `bracket` asks for B, `disks` for the disk radius and gaps, `lengths`
+    for p1.  The disk part, where a block's memory peaks, works in place
+    after its first lines.
+    """
+    l0, l1 = np.log1p(1.0 / n), np.log1p(1.0 / (n + 1.0))
+    oma = -np.expm1(-sigma * l0)  # 1 - a
+    bm1 = np.expm1(sigma * l1)  # b - 1
+    d1, d2 = np.multiply(l0, t, out=l0), np.multiply(l1, t, out=l1)
+    c1 = _c(d1)
+    g = _Geometry(d1, d2, p1=(n + 1.0) ** sigma if lengths else None)
+    if bracket:  # c(d1 - d2) = c(t log1p(1/(n(n+2)))), without cancellation
+        c12 = _c(t * np.log1p(1.0 / (n * (n + 2.0))))
+        g = g._replace(bracket=(oma - c1) * (bm1 + _c(d2)) - 0.5 * c12)
+    if disks:
+        w = np.divide(0.5, (1.0 - oma) * (1.0 + bm1))  # 1 / (2ab)
+        # gx = 1 - r0 - r2 - c(d1) + c(beta) r2, beta = d1 + d2, where
+        # 1 - r0 - r2 = (a (b-1) - b (1-a)) / (2ab) is a sum of small terms
+        gx = bm1 * (1.0 - 2.0 * oma)
+        gx -= oma
+        gx *= w
+        gx -= c1
+        del c1
+        r2 = (1.0 - oma) * w  # 1 / (2b)
+        oma += bm1
+        oma *= w  # r0 - r2 = (b - a) / (2ab)
+        del bm1
+        beta = np.add(d1, d2)
+        gx += np.multiply(_c(beta, out=w), r2, out=w)
+        gy = np.multiply(np.sin(beta, out=beta), r2, out=beta)
+        gy -= np.sin(d1, out=w)
+        g = g._replace(r2=r2, rgap=oma, gx=gx, gy=gy)
+    return g
+
+
+def _nests(g: _Geometry, scale: float) -> np.ndarray:
+    """True where the disks shrunk by scale nest: centre gap < scale * radius gap."""
+    return np.hypot(g.gx, g.gy) < scale * g.rgap
+
+
+def _point(s) -> tuple[float, float]:
+    """(sigma, |t|) of s, validated by the oracle's validator."""
+    s = as_complex(s)
+    oracle._validate(s.real, s.imag, oracle.TARGET_FLOOR)
+    return s.real, abs(s.imag)
+
+
+def _at(n, s, **parts) -> _Geometry:
+    """The geometry, with p1, at a scalar index or an index array of s."""
+    sigma, t = _point(s)
+    arr = np.atleast_1d(np.asarray(n, dtype=np.float64))
+    if arr.min() < (lo := angle_threshold(t)):
+        raise AngleTooLarge(f"the disk geometry needs n >= {lo} at t = {t:g}, got {int(arr.min())}")
+    return _geometry(arr, sigma, t, lengths=True, **parts)
+
+
+def _scale(scale: float) -> float:
+    if not (0.0 < scale <= 1.0):
+        raise ValueError(f"scale must lie in (0, 1], got {scale}")
+    return scale
+
+
 def turn_angles(n: int, t: float) -> AngleTriple:
     """Angles between segments n/n+1 and n+1/n+2; beta is their exact sum."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    d1 = t * math.log1p(1.0 / n)
-    d2 = t * math.log1p(1.0 / (n + 1.0))
+    g = _geometry(np.array([n], dtype=np.float64), 0.0, t, bracket=False, disks=False)
+    d1, d2 = float(g.d1[0]), float(g.d2[0])
     return AngleTriple(d1, d2, d1 + d2)
 
 
-def _angles_block(n: np.ndarray, t: float):
-    d1 = t * np.log1p(1.0 / n)
-    d2 = t * np.log1p(1.0 / (n + 1.0))
-    return d1, d2, d1 + d2
-
-
 def nesting_margin(n, s):
-    """Numerator deciding the sign of radius_diff_sq - center_dist_sq.
+    """The nesting margin p1^2 B, with p1 = (n+1)^sigma.
 
     Positive iff the disk on segment n+2 fits strictly inside the disk
     on segment n.  Accepts a scalar index or an index array; requires
     n >= angle_threshold(t).
     """
-    s = as_complex(s)
-    t = abs(s.imag)
-    arr = np.atleast_1d(np.asarray(n, dtype=np.float64))
-    if arr.min() < angle_threshold(t):
-        raise AngleTooLarge(
-            f"margin needs n >= {angle_threshold(t)} at t = {t:g}, got {int(arr.min())}"
-        )
-    out = _margin_block(arr, s.real, t)
-    return float(out[0]) if np.isscalar(n) or np.ndim(n) == 0 else out
-
-
-def _margin_block(n: np.ndarray, sigma: float, t: float) -> np.ndarray:
-    d1, d2, beta = _angles_block(n, t)  # beta - d1 = d2 exactly
-    p0 = n**sigma
-    p1 = (n + 1.0) ** sigma
-    p2 = (n + 2.0) ** sigma
-    return p1 * (p2 * np.cos(d1) - p1 * (1.0 + np.cos(beta)) / 2.0) - p0 * (
-        p2 - p1 * np.cos(d2)
-    )
+    g = _at(n, s, disks=False)
+    out = g.bracket * g.p1**2
+    return float(out[0]) if np.ndim(n) == 0 else out
 
 
 def disk_pair(n: int, s) -> DiskPair:
     """Centers, radii and squared gaps for the disks on segments n and n+2."""
-    s = as_complex(s)
-    t = abs(s.imag)
-    if n < angle_threshold(t):
-        raise AngleTooLarge(f"disk construction needs n >= {angle_threshold(t)}")
-    sigma = s.real
-    a = turn_angles(n, t)
-    r_n = 0.5 * n ** -sigma
-    r_n2 = 0.5 * (n + 2.0) ** -sigma
-    p1_inv = (n + 1.0) ** -sigma
-    center_n = complex(r_n, 0.0)
-    center_n2 = complex(
-        math.cos(a.delta1) * p1_inv - math.cos(a.beta) * r_n2,
-        -math.sin(a.delta1) * p1_inv + math.sin(a.beta) * r_n2,
-    )
-    # squared center gap, written out so each cosine enters exactly once
-    p0 = n**sigma
-    p1 = (n + 1.0) ** sigma
-    p2 = (n + 2.0) ** sigma
-    center_dist_sq = (
-        1.0 / p1**2
-        + 0.25 / p2**2
-        - math.cos(a.delta2) / (p1 * p2)
-        + 0.25 / p0**2
-        + math.cos(a.beta) / (2.0 * p0 * p2)
-        - math.cos(a.delta1) / (p0 * p1)
-    )
-    return DiskPair(
-        n=n,
-        center_n=center_n,
-        center_n2=center_n2,
-        radius_n=r_n,
-        radius_n2=r_n2,
-        center_dist_sq=center_dist_sq,
-        radius_diff_sq=(r_n - r_n2) ** 2,
-    )
-
-
-def _containment_block(n: np.ndarray, sigma: float, t: float, scale: float) -> np.ndarray:
-    """True where the scale-shrunk disks nest: center gap < scale * radius gap."""
-    d1, _, beta = _angles_block(n, t)
-    r_n = 0.5 * n ** -sigma
-    r_n2 = 0.5 * (n + 2.0) ** -sigma
-    p1_inv = (n + 1.0) ** -sigma
-    gx = np.cos(d1) * p1_inv - np.cos(beta) * r_n2 - r_n
-    gy = -np.sin(d1) * p1_inv + np.sin(beta) * r_n2
-    return np.hypot(gx, gy) < scale * (r_n - r_n2)
+    g = _at(n, s, bracket=False)
+    r2, rgap, gx, gy = (float(v[0]) / float(g.p1[0]) for v in (g.r2, g.rgap, g.gx, g.gy))
+    r0 = r2 + rgap
+    return DiskPair(n, complex(r0, 0.0), complex(r0 + gx, gy), r0, r2, gx * gx + gy * gy, rgap**2)
 
 
 def disks_nested(n: int, s, scale: float = 1.0) -> bool:
     """True iff the disks on segments n and n+2, shrunk by scale, nest."""
-    if not (0.0 < scale <= 1.0):
-        raise ValueError(f"scale must lie in (0, 1], got {scale}")
-    s = as_complex(s)
-    t = abs(s.imag)
-    if n < angle_threshold(t):
-        raise AngleTooLarge(f"containment needs n >= {angle_threshold(t)}")
-    return bool(
-        _containment_block(np.asarray([n], dtype=np.float64), s.real, t, scale)[0]
-    )
+    scale = _scale(scale)
+    return bool(_nests(_at(n, s, bracket=False), scale)[0])
 
 
-def _stable_run_start(predicate, start: int, window: int, ceiling: int):
+def _stable_run_start(sigma, t, window, ceiling, margin=True, scale=None):
     """Largest failing index followed by `window` consecutive passes.
 
-    `predicate(n_array) -> bool array`.  Returns (index, flips) where
-    flips counts pass-to-fail transitions (a nonzero count means the
-    onset was not a single sign change).  Raises WindowExhausted when no
-    stable run exists below the ceiling.
+    Sweeps "margin > 0" if `margin` and "the disks shrunk by scale nest"
+    if `scale` is given, from angle_threshold(t) in blocks, one kernel
+    call each.  A predicate leaves at the block that completes its run,
+    so each result equals a sweep of it alone: one (index, flips) pair,
+    flips counting pass-to-fail transitions.  Raises WindowExhausted when
+    a run does not fit below the ceiling.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    last_bad = start - 1
-    flips = 0
-    prev_good = False  # the region below the threshold counts as failing
-    n = start
-    while n <= ceiling:
+    tests = {"bracket": lambda g: g.bracket > 0.0} if margin else {}
+    if scale is not None:
+        tests["disks"] = lambda g: _nests(g, scale)
+    # last failing index, flips, whether the previous index passed
+    # (the region below the threshold counts as failing)
+    runs = {part: [angle_threshold(t) - 1, 0, False] for part in tests}
+    n = angle_threshold(t)
+    while n <= ceiling and tests:
         hi = min(n + _SCAN_BLOCK, ceiling + 1)
-        arr = np.arange(n, hi, dtype=np.float64)
-        good = predicate(arr)
-        bad_idx = np.nonzero(~good)[0]
-        if bad_idx.size:
-            last_bad = n + int(bad_idx[-1])
-        ext = np.concatenate(([prev_good], good))
-        flips += int(np.count_nonzero(ext[:-1] & ~ext[1:]))
-        prev_good = bool(good[-1])
-        if hi - 1 - last_bad >= window:
-            return last_bad, flips
+        g = _geometry(np.arange(n, hi, dtype=np.float64), sigma, t, "bracket" in tests, "disks" in tests)
+        results = [(part, passes(g)) for part, passes in tests.items()]
+        del g  # freed before the next block is evaluated
+        for part, good in results:
+            run = runs[part]
+            bad_idx = np.flatnonzero(~good)
+            if bad_idx.size:
+                run[0] = n + int(bad_idx[-1])
+            run[1] += int(np.count_nonzero(np.concatenate(([run[2]], good[:-1])) & ~good))
+            run[2] = bool(good[-1])
+            if hi - 1 - run[0] >= window:
+                del tests[part]
         n = hi
-    raise WindowExhausted(
-        f"no stable run of length {window} found below ceiling {ceiling}"
-    )
+    if tests:
+        raise WindowExhausted(f"no stable run of length {window} found below ceiling {ceiling}")
+    return [(last_bad, flips) for last_bad, flips, _ in runs.values()]
 
 
 def nesting_start(s, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILING) -> int:
@@ -239,69 +272,32 @@ def nesting_start(s, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILIN
     Returns angle_threshold(t) - 1 when the margin is positive from the
     threshold onward (0 in the degenerate t = 0 case).
     """
-    s = as_complex(s)
-    t = abs(s.imag)
-    sigma = s.real
-    idx, _ = _stable_run_start(
-        lambda arr: _margin_block(arr, sigma, t) > 0.0,
-        angle_threshold(t),
-        window,
-        ceiling,
-    )
+    [(idx, _)] = _stable_run_start(*_point(s), window, ceiling)
     return idx
 
 
-def containment_start(
-    s, scale: float, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILING
-) -> int:
+def containment_start(s, scale: float, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILING) -> int:
     """Largest index where scale-shrunk disks fail to nest, stable beyond."""
-    if not (0.0 < scale <= 1.0):
-        raise ValueError(f"scale must lie in (0, 1], got {scale}")
-    s = as_complex(s)
-    t = abs(s.imag)
-    sigma = s.real
-    idx, _ = _stable_run_start(
-        lambda arr: _containment_block(arr, sigma, t, scale),
-        angle_threshold(t),
-        window,
-        ceiling,
-    )
+    scale = _scale(scale)
+    [(idx, _)] = _stable_run_start(*_point(s), window, ceiling, margin=False, scale=scale)
     return idx
 
 
 def orbit_diagnostics(
-    s,
-    epsilon: float = 0.5,
-    window: int = DEFAULT_WINDOW,
-    ceiling: int = DEFAULT_CEILING,
+    s, epsilon: float = 0.5, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILING
 ) -> OrbitDiagnostics:
-    """All sandwich indices for the point s at the given epsilon.
+    """All sandwich indices for the point s at the given epsilon, from one sweep.
 
     The lower bound (1-eps)/(2 n^sigma) comes from disks shrunk by the
     factor eps itself: the convergence point lies inside every nested
     eps-disk, hence at distance >= (1-eps) * radius from the segment
-    endpoint.  The containment scan therefore runs at scale = epsilon.
+    endpoint.  The containment predicate therefore runs at scale = epsilon.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    s = as_complex(s)
-    t = abs(s.imag)
-    start = angle_threshold(t)
-    n_o, flips = _stable_run_start(
-        lambda arr: _margin_block(arr, s.real, t) > 0.0, start, window, ceiling
-    )
-    j, _ = _stable_run_start(
-        lambda arr: _containment_block(arr, s.real, t, epsilon), start, window, ceiling
-    )
-    return OrbitDiagnostics(
-        acute_start=start,
-        nesting_start=n_o,
-        containment_start=j,
-        sandwich_start=max(n_o, j),
-        epsilon=epsilon,
-        verified_window=window,
-        margin_flips=flips,
-    )
+    sigma, t = _point(s)
+    (n_o, flips), (j, _) = _stable_run_start(sigma, t, window, ceiling, scale=epsilon)
+    return OrbitDiagnostics(angle_threshold(t), n_o, j, max(n_o, j), epsilon, window, flips)
 
 
 def sandwich_report(

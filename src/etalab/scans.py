@@ -170,6 +170,7 @@ def scan_monotonicity(t: float, alpha_grid) -> MonotonicityReport:
     """Strict decrease of |P(1/2 - alpha + it)| along an ascending grid."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    oracle._validate(0.5, t, oracle.TARGET_FLOOR)  # |t| <= MAX_IM
     alphas = [float(a) for a in alpha_grid]
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be strictly ascending")

@@ -1,7 +1,9 @@
 """Exact disk-gap quantities against their leading-order forms."""
 
+import numpy as np
 import pytest
 
+from etalab import orbit
 from etalab import nesting_gap_record, nesting_start, shrunk_gap_record
 
 
@@ -53,3 +55,40 @@ class TestConvergenceLadder:
         ladder = [start * 2**k for k in range(7)]
         errors = [abs(nesting_gap_record(n, s).ratio - 1.0) for n in ladder]
         assert all(b <= a * 1.02 for a, b in zip(errors, errors[1:]))
+
+
+# Exact gaps margin / (p0 p1^2 p2) at the first and last rows of
+# `sandwich --n-max 5000`, frozen from a 50-digit evaluation of the
+# textbook margin (bench/reference.py).
+GAP_ROWS = [
+    (0.404 + 147.0j, 53490, 6.4686834497323110443e-15),
+    (0.404 + 147.0j, 58489, 5.307946948673001706e-15),
+    (0.1 + 190.0j, 361006, 4.4517177503590820629e-15),
+    (0.1 + 190.0j, 366005, 4.358105348425700906e-15),
+]
+
+
+class TestArrayRecords:
+    @pytest.mark.parametrize("s,n,want", GAP_ROWS)
+    def test_gap_matches_the_50_digit_value(self, s, n, want):
+        assert abs(nesting_gap_record(n, s).exact - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("record", [nesting_gap_record,
+                                        lambda n, s: shrunk_gap_record(n, s, 0.5)])
+    def test_array_call_equals_scalar_calls(self, record):
+        s = 0.404 + 147.0j
+        ns = np.arange(53490, 53590)
+        many = record(ns, s)
+        assert many.n is ns
+        for i, n in enumerate(ns):
+            one = record(int(n), s)
+            assert (one.exact, one.leading, one.ratio) == (many.exact[i], many.leading[i], many.ratio[i])
+
+    def test_records_read_the_kernel(self):
+        s, ns = 0.1 + 190.0j, np.arange(361006, 361016)
+        g = orbit._geometry(ns.astype(float), s.real, s.imag, lengths=True)
+        p0_inv, p2_inv = 2.0 * (g.r2 + g.rgap) / g.p1, 2.0 * g.r2 / g.p1
+        full = nesting_gap_record(ns, s)
+        assert np.array_equal(full.exact, g.bracket * p0_inv * p2_inv)
+        half = shrunk_gap_record(ns, s, 0.5)
+        assert np.array_equal(half.exact, full.exact - 0.75 * (g.rgap / g.p1) ** 2)

@@ -356,6 +356,33 @@ class TestInvalidInput:
             assert err == f"error: t must be finite, got {t}\n"
             assert out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--sigma", "nan", "--t", "20"), "error: eta oracle requires finite s, got (nan+20j)\n"),
+        (("--sigma", "0", "--t", "20"), "error: eta oracle requires Re(s) > 0, got 0.0\n"),
+        (("--sigma", "0.5", "--t", "inf"), "error: eta oracle requires finite s, got (0.5+infj)\n"),
+        (("--sigma", "0.5", "--t", "nan"), "error: eta oracle requires finite s, got (0.5+nanj)\n"),
+        (("--sigma", "0.5", "--t", "500"), "error: |Im(s)| = 500 outside the supported range <= 200\n"),
+    ])
+    def test_orbit_point_validated_before_the_sweep(self, capsys, monkeypatch, argv, message):
+        from etalab import orbit
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("swept an invalid point")
+
+        monkeypatch.setattr(orbit, "_geometry", sweep)
+        for command in ("orbit", "sandwich", "ratio"):
+            code, out, err = run(capsys, command, *argv)
+            assert code == 2
+            assert err == message
+            assert out == ""
+
+    def test_monotonicity_t_range(self, capsys):
+        for t in ("300", "-300", "200.5"):
+            code, out, err = run(capsys, "scan", "--which", "monotonicity", f"--t={t}")
+            assert code == 2
+            assert err == f"error: |Im(s)| = {abs(float(t)):g} outside the supported range <= 200\n"
+            assert out == ""
+
     def test_ratio_n_max_range(self, capsys):
         code, _, err = run(capsys, "ratio", "--sigma", "0.3", "--t", "20", "--n-max", "1")
         assert code == 2

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from etalab import orbit
 from etalab import (
     AngleTooLarge,
     WindowExhausted,
@@ -207,3 +208,85 @@ class TestAsymptoticPositivity:
         start = nesting_start(s)
         ns = np.arange(start + 1, start + 10**5 + 1)
         assert np.all(nesting_margin(ns, s) > 0.0)
+
+
+# Points where a margin written as a difference of size-n^(2 sigma) terms
+# loses its sign; the starts are frozen from a 50-digit bisection
+# (bench/reference.py), which sees one sign change and so no flips.
+SIGN_POINTS = [
+    (0.1 + 190.0j, 180502, 361005),
+    (0.171 + 108.9346j, 34699, 69399),
+    (0.6020115711650357 + 81.24232445090468j, 5481, 10965),
+    (0.26275044333307285 + 132.40653283233473j, 33362, 66725),
+]
+
+
+class TestCancellationFreeMargin:
+    @pytest.mark.parametrize("s,nesting,containment", SIGN_POINTS)
+    def test_starts_match_the_reference(self, s, nesting, containment):
+        assert nesting_start(s) == nesting
+        assert containment_start(s, 0.5) == containment
+        diag = orbit_diagnostics(s, 0.5)
+        assert (diag.nesting_start, diag.containment_start) == (nesting, containment)
+        assert diag.margin_flips == 0
+
+    @pytest.mark.parametrize("s,nesting,_", SIGN_POINTS)
+    def test_sign_change_at_the_start(self, s, nesting, _):
+        assert nesting_margin(nesting, s) <= 0.0 < nesting_margin(nesting + 1, s)
+
+    def test_margin_is_p1_squared_bracket(self):
+        s = 0.404 + 147.0j
+        ns = np.arange(26740, 26750)
+        g = orbit._geometry(ns.astype(float), s.real, s.imag, disks=False, lengths=True)
+        assert np.array_equal(nesting_margin(ns, s), g.bracket * g.p1**2)
+
+
+class TestViewsOfTheKernel:
+    S = 0.404 + 147.0j
+    NS = np.arange(53490, 53500)
+
+    def _kernel(self):
+        return orbit._geometry(self.NS.astype(float), self.S.real, self.S.imag, lengths=True)
+
+    def test_disk_pair_reads_the_kernel(self):
+        g = self._kernel()
+        for i, n in enumerate(self.NS):
+            pair = disk_pair(int(n), self.S)
+            r2, rgap, gx, gy = (v[i] / g.p1[i] for v in (g.r2, g.rgap, g.gx, g.gy))
+            r0 = r2 + rgap
+            assert (pair.radius_n, pair.radius_n2) == (r0, r2)
+            assert pair.center_n2 == complex(r0 + gx, gy)
+            assert pair.center_dist_sq == gx * gx + gy * gy
+            assert pair.radius_diff_sq == rgap**2
+
+    def test_disks_nested_reads_the_kernel(self):
+        g = self._kernel()
+        for scale in (1.0, 0.5, 1e-3):
+            want = np.hypot(g.gx, g.gy) < scale * g.rgap
+            assert [disks_nested(int(n), self.S, scale) for n in self.NS] == want.tolist()
+
+    def test_radii_match_their_closed_forms(self):
+        g, sigma = self._kernel(), self.S.real
+        r_n, r_n2 = 0.5 * self.NS ** -sigma, 0.5 * (self.NS + 2.0) ** -sigma
+        assert np.allclose(g.r2 / g.p1, r_n2, rtol=1e-14, atol=0.0)
+        # r_n - r_n2 cancels to 1/n of its terms, so the closed form is the looser side
+        assert np.allclose(g.rgap / g.p1, r_n - r_n2, rtol=1e-9, atol=0.0)
+
+    def test_turn_angles_read_the_kernel(self):
+        g = orbit._geometry(np.array([1200.0]), 0.0, 20.0, bracket=False, disks=False)
+        a = turn_angles(1200, 20.0)
+        assert (a.delta1, a.delta2) == (g.d1[0], g.d2[0])
+
+
+class TestInvalidPoints:
+    @pytest.mark.parametrize("s", [complex(math.nan, 20.0), 0.0 + 20.0j, -0.2 + 20.0j,
+                                   complex(0.5, math.inf), complex(0.5, math.nan), 0.5 + 500.0j])
+    def test_rejected_before_any_sweep(self, s, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("swept an invalid point")
+
+        monkeypatch.setattr(orbit, "_geometry", sweep)
+        for call in (lambda: nesting_start(s), lambda: containment_start(s, 0.5),
+                     lambda: orbit_diagnostics(s, 0.5), lambda: nesting_margin(1000, s)):
+            with pytest.raises(ValueError):
+                call()

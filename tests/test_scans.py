@@ -113,6 +113,11 @@ class TestMonotonicityScan:
         with pytest.raises(ValueError, match="t must be finite"):
             scan_monotonicity(t, [0.1, 0.2])
 
+    @pytest.mark.parametrize("t", [300.0, -300.0, 200.5])
+    def test_t_outside_the_supported_range_rejected(self, t):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            scan_monotonicity(t, [0.1, 0.2])
+
 
 class TestExtrema:
     def test_alpha_zero_has_no_extrema(self):
