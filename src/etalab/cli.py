@@ -286,6 +286,7 @@ def cmd_ratio(args) -> int:
     s = complex(args.sigma, args.t)
     ratios._check_pair(args.n_max)
     ratios._check_ceiling(args.n_max)
+    ratios._check_threshold(args.zero_threshold)
     nesting = orbit.nesting_start(s)  # also validates s before the long pass
     path, mag, _ = ratios.sum_ratio_path(s, args.n_max)
     estimate = ratios._limit(path, mag)

@@ -137,10 +137,11 @@ def two_power_factor(s) -> complex:
 
 
 def functional_ratio(s) -> FunctionalRatio:
-    """P(s) as the product of its four factors, for 0 < Re(s) < 1."""
+    """P(s) as the product of its four factors, for 0 < Re(s) < 1 and |t| <= 200."""
     z = as_complex(s)
     if not (0.0 < z.real < 1.0):
         raise ValueError(f"functional ratio needs 0 < Re(s) < 1, got {z.real}")
+    oracle._validate(z.real, z.imag, oracle.TARGET_FLOOR)  # |t| <= 200 keeps the factors in range
     f_two = two_power_factor(z)
     f_exp = 2.0 * (2.0 * math.pi) ** (-z)
     f_cos = cmath.cos(0.5 * math.pi * z)
@@ -149,8 +150,10 @@ def functional_ratio(s) -> FunctionalRatio:
 
 
 def functional_ratio_modulus(s) -> float:
-    """|P(s)| assembled in log space; finite at any height."""
+    """|P(s)| assembled in log space; finite at any finite height."""
     z = as_complex(s)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"functional ratio needs finite s, got {z}")
     log_mod = (
         math.log(abs(two_power_factor(z)))
         + math.log(2.0)
@@ -215,8 +218,14 @@ def approx_deviation_scan(which: str, grid_step: float = 1e-4) -> ApproxDeviatio
     count of grid points where the inequality direction fails (beyond a
     4-ulp rounding allowance).
     """
+    from .scans import MAX_SCAN_POINTS  # imported here: scans imports this module
+
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
     if grid_step > 1e-4:
         raise ValueError(f"grid_step must be <= 1e-4, got {grid_step}")
+    if math.ceil((0.5 + 0.5 * grid_step) / grid_step) > MAX_SCAN_POINTS:  # the length of the arange below
+        raise ValueError(f"grid_step {grid_step} gives more than {MAX_SCAN_POINTS} points on [0, 0.5]")
     sigma = np.arange(0.0, 0.5 + 0.5 * grid_step, grid_step)
     sigma[-1] = 0.5
     if which == "upper-approx":

@@ -21,10 +21,12 @@ p1^2 B, where d1 - d2 = t log1p(1/(n(n+2))) and the bracket
 has only small terms, so its sign holds where the margin is minuscule
 beside the size-p1^2 terms of the textbook form.  The disk centre and
 radius gaps come from the same quantities.  "Stays positive" is a
-stable run of configurable length; one sweep in blocks up to a ceiling
-tracks the margin, the shrunk-disk containment or both.  Points are
-validated as the oracle validates its own (finite, sigma > 0,
-|t| <= 200) before any sweep.  The nesting start grows like
+stable run of configurable length: a start is the last failing index
+before the first run of `window` consecutive passes.  One sweep in
+blocks up to a ceiling tracks the margin, the shrunk-disk containment
+or both, and stops at the block where the last run completes.
+Points are validated as the oracle validates its own (finite,
+sigma > 0, |t| <= 200) before any sweep.  The nesting start grows like
 t^2 / (2 sigma), so scans near the left strip edge take longer and may
 hit the ceiling.
 """
@@ -44,7 +46,7 @@ from . import oracle
 
 DEFAULT_WINDOW = 1000
 DEFAULT_CEILING = 10**7
-_SCAN_BLOCK = 1 << 16
+_SCAN_BLOCK = 1 << 12  # indices per kernel call; its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -227,24 +229,42 @@ def disks_nested(n: int, s, scale: float = 1.0) -> bool:
     return bool(_nests(_at(n, s, bracket=False), scale)[0])
 
 
+def _run_end(good: np.ndarray, lo: int, window: int, last_bad: int, flips: int):
+    """Carry one predicate's sweep across a block of pass flags at lo, lo+1, ...
+
+    (last_bad, flips) is the state before the block: the last failing
+    index and the pass-to-fail transitions up to it.  Returns the state
+    after the block and whether a run of `window` passes completed in
+    it; if so, last_bad is the failure just before that run and flips
+    counts transitions up to it, so later failures in the block are
+    ignored.
+    """
+    edges = np.concatenate(([last_bad - lo], np.flatnonzero(~good), [good.size]))
+    streaks = np.diff(edges) - 1  # passes after each failure, the last cut at the block end
+    done = np.flatnonzero(streaks >= window)
+    k = int(done[0]) if done.size else edges.size - 2
+    return lo + int(edges[k]), flips + int(np.count_nonzero(streaks[:k])), bool(done.size)
+
+
 def _stable_run_start(sigma, t, window, ceiling, margin=True, scale=None):
-    """Largest failing index followed by `window` consecutive passes.
+    """Last failing index before the first run of `window` consecutive passes.
 
     Sweeps "margin > 0" if `margin` and "the disks shrunk by scale nest"
     if `scale` is given, from angle_threshold(t) in blocks, one kernel
-    call each.  A predicate leaves at the block that completes its run,
-    so each result equals a sweep of it alone: one (index, flips) pair,
-    flips counting pass-to-fail transitions.  Raises WindowExhausted when
-    a run does not fit below the ceiling.
+    call each; the region below the threshold counts as failing.  A
+    predicate leaves the sweep at the block where its run completes and
+    its result is read at that run, so neither depends on the block
+    size or on the other predicate.  Returns one (index, flips) pair
+    per predicate, flips counting pass-to-fail transitions up to the
+    index.  Raises WindowExhausted when a run does not fit below the
+    ceiling.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     tests = {"bracket": lambda g: g.bracket > 0.0} if margin else {}
     if scale is not None:
         tests["disks"] = lambda g: _nests(g, scale)
-    # last failing index, flips, whether the previous index passed
-    # (the region below the threshold counts as failing)
-    runs = {part: [angle_threshold(t) - 1, 0, False] for part in tests}
+    runs = {part: (angle_threshold(t) - 1, 0) for part in tests}
     n = angle_threshold(t)
     while n <= ceiling and tests:
         hi = min(n + _SCAN_BLOCK, ceiling + 1)
@@ -252,18 +272,14 @@ def _stable_run_start(sigma, t, window, ceiling, margin=True, scale=None):
         results = [(part, passes(g)) for part, passes in tests.items()]
         del g  # freed before the next block is evaluated
         for part, good in results:
-            run = runs[part]
-            bad_idx = np.flatnonzero(~good)
-            if bad_idx.size:
-                run[0] = n + int(bad_idx[-1])
-            run[1] += int(np.count_nonzero(np.concatenate(([run[2]], good[:-1])) & ~good))
-            run[2] = bool(good[-1])
-            if hi - 1 - run[0] >= window:
+            last_bad, flips, done = _run_end(good, n, window, *runs[part])
+            runs[part] = (last_bad, flips)
+            if done:
                 del tests[part]
         n = hi
     if tests:
         raise WindowExhausted(f"no stable run of length {window} found below ceiling {ceiling}")
-    return [(last_bad, flips) for last_bad, flips, _ in runs.values()]
+    return list(runs.values())
 
 
 def nesting_start(s, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILING) -> int:

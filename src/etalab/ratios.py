@@ -27,6 +27,7 @@ looser threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections import Counter
 
@@ -86,6 +87,11 @@ def _check_ceiling(n_max: int) -> None:
         raise ValueError(f"n_max must be <= {orbit.DEFAULT_CEILING:g}")
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"zero-sum threshold must be finite and positive, got {threshold}")
+
+
 def sum_ratio(n: int, s, threshold: float = ZERO_SUM_THRESHOLD) -> RatioSample:
     """P_n(s): ratio of the n-th partial sums at the mirror point and at s.
 
@@ -94,6 +100,7 @@ def sum_ratio(n: int, s, threshold: float = ZERO_SUM_THRESHOLD) -> RatioSample:
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
+    _check_threshold(threshold)
     s = as_complex(s)
     for _, _, (num, den), _ in _sum_blocks((1.0 - s.real, s.real), s.imag, n):
         pass
@@ -108,6 +115,7 @@ def sum_ratio_path(s, n_max: int, threshold: float = ZERO_SUM_THRESHOLD):
 
     Ratios at skipped indices (denominator below threshold) are NaN.
     """
+    _check_threshold(threshold)
     s = as_complex(s)
     num, den = _sum_paths((1.0 - s.real, s.real), s.imag, n_max)
     mag = np.abs(den)
@@ -140,6 +148,7 @@ def detect_zero_sums(
     threshold indicates the threshold is too loose for the point.
     """
     _check_ceiling(n_max)
+    _check_threshold(threshold)
     s = as_complex(s)
     if nesting_index is None:
         nesting_index = orbit.nesting_start(s)

@@ -393,6 +393,33 @@ class TestInvalidInput:
         assert err == "error: n_max must be <= 1e+07\n"
 
 
+    @pytest.mark.parametrize("step,message", [
+        ("0", "grid_step must be finite and positive, got 0.0"),
+        ("-1", "grid_step must be finite and positive, got -1.0"),
+        ("nan", "grid_step must be finite and positive, got nan"),
+        ("inf", "grid_step must be finite and positive, got inf"),
+        ("1e-7", "grid_step 1e-07 gives more than 1000000 points on [0, 0.5]"),
+    ])
+    def test_approx_deviation_step(self, capsys, step, message):
+        code, out, err = run(capsys, "approx-deviation", f"--step={step}")
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    def test_ratio_zero_threshold(self, capsys, monkeypatch):
+        from etalab import ratios
+
+        def summed(*args, **kwargs):
+            raise AssertionError("summed with an invalid threshold")
+
+        monkeypatch.setattr(ratios, "_sum_paths", summed)
+        for threshold in ("nan", "inf", "0", "-1e-9"):
+            code, out, err = run(capsys, "ratio", "--sigma", "0.3", "--t", "20", f"--zero-threshold={threshold}")
+            assert code == 2
+            assert err == f"error: zero-sum threshold must be finite and positive, got {float(threshold)}\n"
+            assert out == ""
+
+
 class TestConfigFile:
     def test_env_config_and_flag_override(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "etalab.conf"

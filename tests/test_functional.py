@@ -110,6 +110,13 @@ class TestFunctionalRatio:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             functional_ratio(1.3 + 2.0j)
+        # beyond |t| = 200 the cosine factor overflows; refused before it
+        for s in (0.5 + 500.0j, 0.5 - 300.0j, 0.5 + 200.5j, complex(0.5, math.nan), complex(0.5, math.inf)):
+            with pytest.raises(ValueError):
+                functional_ratio(s)
+        for s in (complex(math.nan, 20.0), complex(0.5, math.inf), complex(0.5, -math.inf), complex(math.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                functional_ratio_modulus(s)
 
     def test_nonvanishing_on_left_half(self):
         rng = random.Random(23)

@@ -290,3 +290,91 @@ class TestInvalidPoints:
                      lambda: orbit_diagnostics(s, 0.5), lambda: nesting_margin(1000, s)):
             with pytest.raises(ValueError):
                 call()
+
+
+def _run_reference(good, lo, window):
+    """Index-by-index sweep: (last failure before the first run, flips up to it)."""
+    last_bad, flips, prev = lo - 1, 0, False
+    for i, passed in enumerate(good):
+        if not passed:
+            last_bad, flips = lo + i, flips + prev
+        elif lo + i - last_bad >= window:
+            return last_bad, flips
+        prev = passed
+    return None
+
+
+def _sweep(good, lo, window, block):
+    """Feed good to orbit._run_end in blocks; None when no run completes."""
+    state = (lo - 1, 0)
+    for start in range(0, len(good), block):
+        last_bad, flips, done = orbit._run_end(np.array(good[start : start + block]), lo + start, window, *state)
+        state = (last_bad, flips)
+        if done:
+            return state
+    return None
+
+
+class TestRunEnd:
+    T, F = True, False
+
+    def test_run_spanning_a_block_boundary(self):
+        good = [self.F, self.F, self.T, self.T, self.T, self.T, self.T, self.F]
+        assert orbit._run_end(np.array(good[:5]), 10, 5, 9, 0) == (11, 0, False)
+        assert orbit._run_end(np.array(good[5:]), 15, 5, 11, 0) == (11, 0, True)
+
+    def test_run_carried_in_completes_at_the_first_index(self):
+        # 12, 13, 14 passed in earlier blocks; 15 completes a run of 4
+        assert orbit._run_end(np.array([self.T, self.F, self.F]), 15, 4, 11, 2) == (11, 2, True)
+
+    def test_failure_after_a_completed_run_is_ignored(self):
+        good = np.array([self.F, self.T, self.T, self.T, self.F, self.T, self.F])
+        assert orbit._run_end(good, 100, 3, 99, 0) == (100, 0, True)
+
+    def test_flips_count_up_to_the_result(self):
+        good = np.array([self.T, self.F, self.T, self.F, self.F, self.T, self.T, self.T, self.F])
+        assert orbit._run_end(good, 1, 3, 0, 0) == (5, 2, True)
+        assert orbit._run_end(good[:5], 1, 3, 0, 0) == (5, 2, False)
+
+    def test_window_one(self):
+        assert orbit._run_end(np.array([self.T]), 50, 1, 49, 0) == (49, 0, True)
+        assert orbit._run_end(np.array([self.F, self.F, self.T]), 50, 1, 49, 0) == (51, 0, True)
+        assert orbit._run_end(np.array([self.F]), 50, 1, 49, 0) == (50, 0, False)
+
+    def test_blocks_match_the_index_by_index_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            good = (rng.random(int(rng.integers(1, 80))) < rng.uniform(0.3, 0.95)).tolist()
+            window = int(rng.integers(1, 6))
+            want = _run_reference(good, 17, window)
+            for block in (1, 2, 3, 7, 64):
+                assert _sweep(good, 17, window, block) == want
+
+
+class TestSweepBlocks:
+    # sandwich starts up to 10965, and two near 69000 swept from 64-index
+    # blocks up; 0.1+190i is left out, as 7-index blocks take about 5 s there
+    NEAR = [S_PAPER, 0.5 + 20.0j, SIGN_POINTS[2][0]]
+    FAR = [SIGN_POINTS[1][0], SIGN_POINTS[3][0]]
+
+    @pytest.mark.parametrize("block", [7, 64, 4096, 65536])
+    def test_diagnostics_do_not_depend_on_the_block(self, block, monkeypatch):
+        points = self.NEAR + (self.FAR if block >= 64 else [])
+        configs = [(s, eps, window) for s in points for eps, window in ((0.5, 1000), (0.9, 7))]
+        want = [orbit_diagnostics(s, eps, window=window) for s, eps, window in configs]
+        monkeypatch.setattr(orbit, "_SCAN_BLOCK", block)
+        assert [orbit_diagnostics(s, eps, window=window) for s, eps, window in configs] == want
+
+    def test_sweep_stops_within_a_block_of_the_run(self, monkeypatch):
+        evaluated = []
+        kernel = orbit._geometry
+
+        def counting(n, *args, **kwargs):
+            evaluated.append(len(n))
+            return kernel(n, *args, **kwargs)
+
+        monkeypatch.setattr(orbit, "_geometry", counting)
+        diag = orbit_diagnostics(0.5 + 20.0j, 0.5)
+        assert diag.sandwich_start == 801
+        # at most one 4096-index block beyond the completed run
+        assert sum(evaluated) <= diag.sandwich_start + diag.verified_window + 4096

@@ -103,6 +103,15 @@ class TestZeroSumEvents:
         with pytest.raises(ValueError):
             detect_zero_sums(0.3 + 25.0j, 10**7 + 1)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1e-9])
+    def test_threshold_validated_by_every_entry(self, threshold):
+        s = 0.3 + 25.0j
+        for call in (lambda: sum_ratio(10, s, threshold), lambda: sum_ratio_path(s, 10, threshold),
+                     lambda: limit_estimate(s, 10, threshold=threshold),
+                     lambda: detect_zero_sums(s, 10, threshold, nesting_index=0)):
+            with pytest.raises(ValueError, match="threshold must be finite and positive"):
+                call()
+
 
 class TestLimitEstimate:
     def test_critical_line_value(self):
