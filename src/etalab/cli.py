@@ -251,6 +251,7 @@ def cmd_orbit(args) -> int:
 def cmd_sandwich(args) -> int:
     cfg = _config(args)
     s = complex(args.sigma, args.t)
+    ratios._check_ceiling(args.n_max)  # the report holds a path of n_max indices and more
     diag = orbit.orbit_diagnostics(s, cfg.epsilon, cfg.window, cfg.ceiling)
     start = diag.sandwich_start + 1
     report = orbit.sandwich_report(
@@ -287,10 +288,11 @@ def cmd_ratio(args) -> int:
     ratios._check_pair(args.n_max)
     ratios._check_ceiling(args.n_max)
     ratios._check_threshold(args.zero_threshold)
-    nesting = orbit.nesting_start(s)  # also validates s before the long pass
+    oracle._validate(s.real, s.imag, oracle.TARGET_FLOOR)
+    ratio = functional.functional_ratio(s)  # needs 0 < sigma < 1; checked before the sweep
+    nesting = orbit.nesting_start(s)
     path, mag, _ = ratios.sum_ratio_path(s, args.n_max)
     estimate = ratios._limit(path, mag)
-    ratio = functional.functional_ratio(s)
     events = ratios._zero_events(mag, 1, args.zero_threshold, nesting)
     env_from = max(1, args.n_max - 200)
     envelope = ratios._envelope(path, env_from, functional.functional_ratio_modulus(s))

@@ -181,14 +181,18 @@ class ConjectureBounds:
     upper: float
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 <= alpha < 0.5):
+        raise ValueError(f"alpha must lie in [0, 1/2), got {alpha}")
+
+
 def conjecture_bounds(alpha: float, t: float) -> ConjectureBounds:
     """Bounds (1-2a)/(1+2a) * (8 pi / 9t)^a <= ratio <= (8 pi / 9t)^a.
 
     Stated for t >= 2 pi + 1; evaluation below that is allowed but has
     informational status only.
     """
-    if not (0.0 <= alpha < 0.5):
-        raise ValueError(f"alpha must lie in [0, 1/2), got {alpha}")
+    _check_alpha(alpha)
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     upper = (8.0 * math.pi / (9.0 * t)) ** alpha

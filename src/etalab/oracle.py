@@ -1,33 +1,26 @@
 """High-accuracy reference values for eta(s), zeta(s) and remainders.
 
 Evaluation uses the alternating-series acceleration of Cohen,
-Rodriguez Villegas and Zagier (Experiment. Math. 9 (2000), 3-12),
-whose weights depend only on the term count and telescope the series
-error down to roughly (3+sqrt(8))^(-n).  For complex s the error is
-inflated by about e^(pi |t| / 2), so the term count grows linearly in
-|t|: n = ceil(1.31 D + 0.9 |t|) for D requested decimal digits.
+Rodriguez Villegas and Zagier (Experiment. Math. 9 (2000), 3-12), whose
+weights depend only on the term count n and have scale d_n ~ (3+sqrt 8)^n.
+Each point is summed once, with a term count linear in |t| (see _certify).
 
-The returned error bound is an empirical certificate: two evaluations
-at consecutive term counts are compared, and a rounding floor derived
-from the accumulated weight amplitude is added.  Weights, moduli and
-phases are carried in extended precision internally so the floor stays
-well below the 1e-13 target floor everywhere on sigma in (0,1),
-|t| <= 200.  The certificate itself is validated against direct
-summation at sigma = 1 in the test suite before anything else trusts
-it.
-
-Values with |value| below ten times the certified bound are flagged
-zero-indistinguishable rather than reported as zeros.
+The error bound is a-priori.  In the CRVZ integral form, (k+1)^(-s) =
+int_0^1 x^k w(x) dx with int |w| = Gamma(sigma) / |Gamma(s)|, so n terms
+miss eta by at most T = Gamma(sigma) / (|Gamma(s)| d_n) (cf. Borwein
+2000, Prop. 1).  The Gamma ratio is bounded in closed form, and the
+term count is raised where T would exceed half the target.  A rounding
+floor from the accumulated weight amplitude is added; weights, moduli
+and phases are carried in extended precision so it stays well below
+the 1e-13 target floor on sigma in (0,1), |t| <= 200.  Values with
+|value| below ten times the bound are flagged zero-indistinguishable.
 
 Every evaluation is batched: :func:`eta_many` takes arrays of sigmas
-and ts, and :func:`eta` is its one-point case.  The weights depend only
-on the term count, and the term count only on |t|, so points are
-grouped by term count.  Within a group, each row of points with one |t|
-shares ln k, cos(t ln k) and sin(t ln k), and rows with the same sigmas
-share exp(-sigma ln k).  Sums, certificates and retries are made per
-point exactly as for a single point, so a value and its bound do not
-depend on the batch it came in.  Working memory stays under fixed
-block sizes.
+and ts, and :func:`eta` is its one-point case.  Points are grouped by
+term count; within a group, each row of points with one |t| shares
+ln k, cos(t ln k) and sin(t ln k), and rows with the same sigmas share
+exp(-sigma ln k).  A value and its bound do not depend on the batch
+they came in, and working memory stays under fixed block sizes.
 """
 
 from __future__ import annotations
@@ -157,81 +150,86 @@ def _blocks(sig, t_abs, cap: int):
         lo += rows * width
 
 
-def _passes(sig, t_abs, n: int, n_check: int, ln):
-    """Coarse (n terms) and checked (n_check terms) sums, and the amplitude.
+def _log_gamma_ratio(sig, t_abs):
+    """An upper bound l on ln(Gamma(sigma) / |Gamma(sigma + i t)|), in longdouble.
+
+    By the product formula, twice that log is the sum over k >= 0 of the
+    decreasing f(sigma + k), f(x) = ln(1 + t^2 / x^2): at most f(sigma)
+    plus the integral -sigma f(sigma) + 2 |t| arctan(|t| / sigma).  As
+    log1p(r^2) + 2 ln(max / sigma), r = min / max of sigma and |t|,
+    f(sigma) stays finite for subnormal sigma, and l = 0 at t = 0.
+    """
+    sig, t = sig.astype(_LD), t_abs.astype(_LD)
+    big = np.maximum(sig, t)
+    r = np.minimum(sig, t) / big
+    f = np.log1p(r * r) + 2.0 * (np.log(big) - np.log(sig))
+    return 0.5 * (1.0 - sig) * f + t * np.arctan2(t, sig)
+
+
+def _pass(sig, t_abs, n: int, ln):
+    """Sums of n accelerated terms and their amplitudes, one reduction per block.
 
     Per block (see _blocks), cos and sin(-|t| ln k) are computed once
     per row, and exp(-sigma ln k) once per sigma of the first row, kept
-    while the next block has the same sigmas; the two combine by
-    broadcasting.  Both are computed for k <= n_check, and the coarse
-    pass reads their first n columns.  Each pass reduces along the last
-    axis, with the roundings of w * (mag cos + 1j mag sin).
+    while the sigmas repeat; the two combine by broadcasting.
     """
-    coarse = np.empty(sig.size, dtype=np.complex128)
+    w, d = _acceleration_weights(n)
     value = np.empty(sig.size, dtype=np.complex128)
     amp = np.empty(sig.size)
     pattern = None
-    for lo, rows, width in _blocks(sig, t_abs, max(1, _BLOCK // n_check)):
+    for lo, rows, width in _blocks(sig, t_abs, max(1, _BLOCK // n)):
         hi = lo + rows * width
         if pattern is None or not np.array_equal(sig[lo : lo + width], pattern):
             pattern = sig[lo : lo + width]
             mag = np.exp((-pattern).astype(_LD)[:, None] * ln)
         theta = (-t_abs[lo:hi:width]).astype(_LD)[:, None, None] * ln
-        cos, sin = np.cos(theta), np.sin(theta)
-        for m, out in ((n_check, value), (n, coarse)):
-            w, d = _acceleration_weights(m)
-            prod = 1j * (mag[:, :m] * sin[..., :m])  # w * (mag cos + 1j mag sin), in place
-            prod += mag[:, :m] * cos[..., :m]
-            prod *= w
-            out[lo:hi] = (prod.sum(axis=-1) / d).ravel()
-            if m == n_check:
-                amp[lo:hi] = (np.abs(prod).sum(axis=-1) / d).ravel()
-            del prod  # before the next pass builds its own
-    return coarse, value, amp
+        prod = 1j * (mag * np.sin(theta))  # w * (mag cos + 1j mag sin), in place
+        prod += mag * np.cos(theta)
+        prod *= w
+        value[lo:hi] = (prod.sum(axis=-1) / d).ravel()
+        amp[lo:hi] = (np.abs(prod).sum(axis=-1) / d).ravel()
+    return value, amp
 
 
 def _certify(sig, t, target_error: float, max_terms: int):
-    """Values and bounds at points of one chunk, in rounds by term count.
+    """Values and bounds T + rounding floor at the points of one chunk.
 
-    Points are grouped by term count n, which depends only on |t|.  A
-    point whose certificate misses the target moves on to the next
-    round with n = n_check.  Raises AccuracyUnreachable for the first
-    point whose n_check exceeds max_terms.
+    A point gets ceil(1.2 n) + 8 terms (at least 1), n = ceil(1.31 D +
+    0.9 |t|) + 4 for D = -log10(target_error).  Where T = exp(l) / d_n
+    may exceed target_error / 2 there (sigma near 0, at small |t|), the
+    count is raised to the smallest one with T <= target_error
+    / 2: as d_n > (3+sqrt 8)^n / 2, that is `up` or `up - 1`, and
+    T(up - 1) decides.  Raises AccuracyUnreachable for the first point
+    whose count exceeds max_terms (it is never summed) or whose bound
+    exceeds the target.
     """
     t_abs = np.abs(t)
     n = np.ceil(1.31 * -math.log10(target_error) + 0.9 * t_abs) + 4.0
+    counts = np.maximum(np.ceil(1.2 * n) + 8.0, 1.0)
+    ell = _log_gamma_ratio(sig, t_abs)
+    scale = np.exp(ell)
+    up = np.ceil((ell + math.log(4.0 / target_error)) / math.log(3.0 + math.sqrt(8.0)))
+    low = up > counts
+    first = up[low] - 1.0
+    d = np.array([_acceleration_weights(int(m))[1] for m in first.tolist()], dtype=_LD)
+    counts[low] = first + (scale[low] / d > target_error / 2.0)
     values = np.empty(sig.size, dtype=np.complex128)
-    bounds = np.empty(sig.size)
-    failed = sig.size
-    pending = np.arange(sig.size)
-    while pending.size:
-        n_check = np.ceil(1.2 * n[pending]) + 8.0
-        if max(n_check.tolist()) > max_terms:  # drop the first such point and all after it
-            failed = int(pending[n_check > max_terms][0])
-            keep = pending < failed
-            pending, n_check = pending[keep], n_check[keep]
-        counts = sorted(set(n_check.tolist()))
-        if not counts:
-            break
-        ln = np.log(np.arange(1, counts[-1] + 1, dtype=_LD))
-        retry = np.zeros(sig.size, dtype=bool)
-        for nc in map(int, counts):
-            g = pending[n_check == nc]
-            coarse, value, amp = _passes(sig[g], t_abs[g], int(n[g[0]]), nc, ln[:nc])
-            diff = coarse - value
-            floor = 1e-15 * (1.0 + np.hypot(value.real, value.imag)) + _EPS_ACC * amp * (
-                4.0 + 2.0 * t_abs[g] * math.log(nc) + 2.0 * nc
-            )
-            bound = 2.0 * np.hypot(diff.real, diff.imag) + floor
-            done = bound <= target_error
-            values[g[done]] = value[done]
-            bounds[g[done]] = bound[done]
-            n[g[~done]] = nc
-            retry[g[~done]] = True
-        pending = np.flatnonzero(retry)
-    if failed < sig.size:
+    bounds = np.full(sig.size, math.inf)
+    kept = sorted(set(counts[counts <= max_terms].tolist()))
+    ln = np.log(np.arange(1, max(kept, default=0) + 1, dtype=_LD))
+    for nc in map(int, kept):
+        g = np.flatnonzero(counts == nc)
+        value, amp = _pass(sig[g], t_abs[g], nc, ln[:nc])
+        floor = 1e-15 * (1.0 + np.hypot(value.real, value.imag)) + _EPS_ACC * amp * (
+            4.0 + 2.0 * t_abs[g] * math.log(nc) + 2.0 * nc
+        )
+        values[g] = value
+        bounds[g] = (scale[g] / _acceleration_weights(nc)[1]).astype(np.float64) + floor
+    missed = np.flatnonzero(~(bounds <= target_error))
+    if missed.size:
+        i = int(missed[0])
         raise AccuracyUnreachable(
-            f"cannot certify {target_error:g} at s = {complex(sig[failed], t[failed])}"
+            f"cannot certify {target_error:g} at s = {complex(sig[i], t[i])}"
             f" within {max_terms} terms"
         )
     negative = t < 0
@@ -246,8 +244,8 @@ def eta_many(sigmas, ts, target_error: float = TARGET_FLOOR, max_terms: int = 40
     broadcast shape with |value - eta| <= bound <= target_error, each
     pair bit-identical to a one-point call.  The points are validated
     first, then certified in C-order chunks of _CHUNK points, so
-    AccuracyUnreachable names the first point in C order whose
-    certificate cannot reach target_error within max_terms terms.
+    AccuracyUnreachable names the first point in C order whose term
+    count exceeds max_terms or whose bound exceeds target_error.
     """
     sig, t = _validate(sigmas, ts, target_error)
     values = np.empty(sig.size, dtype=np.complex128)
@@ -262,7 +260,7 @@ def eta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleVa
     """eta(s) with |value - eta(s)| <= abs_error_bound <= target_error.
 
     The one-point case of :func:`eta_many`.  Raises AccuracyUnreachable
-    when the certificate cannot reach target_error within max_terms
+    when the bound cannot reach target_error within max_terms
     acceleration terms.
     """
     s = as_complex(s)
@@ -300,7 +298,7 @@ def remainder(n: int, s, target_error: float = TARGET_FLOOR) -> RemainderRecord:
 
 
 def self_check(t_values=(0.0, 5.0, 17.5, 37.0, 50.0), n_direct: int = 2_000_000) -> float:
-    """Empirical validation of the certificate against direct summation.
+    """Empirical cross-check of the a-priori bound against direct summation.
 
     At sigma = 1 the direct sum S_n is within n^(-1) of eta (alternating
     series with decreasing moduli), so |accelerated - S_n| must stay

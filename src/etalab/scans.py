@@ -212,9 +212,11 @@ def extrema_structure(
     three-point comparison, which suppresses spurious flat-region
     extrema at the oracle noise scale.  Minima sit near even multiples
     of pi/ln 2 and maxima are reported against odd multiples; distances
-    are reported, not asserted.  At alpha = 0 the ratio is identically
-    1: the axis is validated and nothing is evaluated.
+    are reported, not asserted.  alpha must lie in [0, 1/2).  At
+    alpha = 0 the ratio is identically 1: the axis is validated and
+    nothing is evaluated.
     """
+    functional._check_alpha(alpha)
     if t_step > 0.01:
         raise ValueError(f"t_step must be <= 0.01 to resolve extrema, got {t_step}")
     ts = _axis(t_from, t_to, t_step)

@@ -40,12 +40,18 @@ class ZeroCheck:
 
 
 def load_zero_table(path) -> list[ZeroEntry]:
-    """Read a zero table from CSV with columns ordinal,t (header optional)."""
+    """Read a zero table from CSV with columns ordinal,t (header optional).
+
+    A data row with other than two fields is rejected, naming its line.
+    """
     entries: list[ZeroEntry] = []
     with open(Path(path), newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().lower() in ("", "ordinal"):
                 continue
+            if len(row) != 2:
+                raise ValueError(f"zero table line {reader.line_num}: expected 2 fields ordinal,t, got {len(row)}")
             entries.append(ZeroEntry(int(row[0]), float(row[1])))
     if any(b.t <= a.t for a, b in zip(entries, entries[1:])):
         raise ValueError("zero table ordinates must be strictly increasing")

@@ -281,6 +281,18 @@ class TestVerifyZeros:
         assert code == 0
         assert out.splitlines()[1:] == []
 
+    @pytest.mark.parametrize("text,line,fields", [
+        ("ordinal,t\n1\n", 2, 1),
+        ("1,14.13472514\n6,37.586178,x\n", 2, 3),
+    ])
+    def test_row_without_two_fields(self, capsys, tmp_path, text, line, fields):
+        table = tmp_path / "zeros.csv"
+        table.write_text(text)
+        code, out, err = run(capsys, "verify-zeros", "--table", str(table))
+        assert code == 2
+        assert err == f"error: zero table line {line}: expected 2 fields ordinal,t, got {fields}\n"
+        assert out == ""
+
 class TestApproxDeviation:
     def test_both_scans_pass(self, capsys):
         code, out, _ = run(capsys, "approx-deviation")
@@ -374,6 +386,32 @@ class TestInvalidInput:
             code, out, err = run(capsys, command, *argv)
             assert code == 2
             assert err == message
+            assert out == ""
+
+    @pytest.mark.parametrize("command,argv,message", [
+        ("ratio", ("--sigma", "1.5", "--t", "20", "--n-max", "10000000"),
+         "error: functional ratio needs 0 < Re(s) < 1, got 1.5\n"),
+        ("ratio", ("--sigma", "1", "--t", "20"), "error: functional ratio needs 0 < Re(s) < 1, got 1.0\n"),
+        ("sandwich", ("--sigma", "0.5", "--t", "20", "--n-max", "10000001"),
+         "error: n_max must be <= 1e+07\n"),
+    ])
+    def test_refused_before_the_sweep(self, capsys, monkeypatch, command, argv, message):
+        from etalab import orbit
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("swept before refusing the input")
+
+        monkeypatch.setattr(orbit, "_geometry", sweep)
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert err == message
+        assert out == ""
+
+    def test_extrema_alpha_range(self, capsys):
+        for alpha in ("-0.2", "0.5", "0.6"):
+            code, out, err = run(capsys, "scan", "--which", "extrema", f"--alpha={alpha}")
+            assert code == 2
+            assert err == f"error: alpha must lie in [0, 1/2), got {float(alpha)}\n"
             assert out == ""
 
     def test_monotonicity_t_range(self, capsys):

@@ -1,14 +1,17 @@
 """Oracle values, certificates and identities.
 
 Complex reference values were computed independently with mpmath at 30
-digits and frozen here; the certificate itself is validated against
-brute-force summation (self_check) before anything else leans on it.
+digits and frozen here.  The a-priori bound is checked against live
+mpmath values across the domain, and against brute-force summation
+(self_check).
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etalab import (
     AccuracyUnreachable,
@@ -181,8 +184,59 @@ class TestSelfConsistency:
             assert abs(v.value - direct) <= (10**6) ** -s.real + v.abs_error_bound
 
 
-# The per-point two-pass loop that eta_many replaced, written out apart
-# from it.  The batched oracle must reproduce it bit for bit.
+def _altzeta(sigma: float, t: float) -> complex:
+    with mpmath.workdps(30):
+        return complex(mpmath.altzeta(mpmath.mpc(sigma, t)))
+
+
+class TestBoundAgainstMpmath:
+    """|value - eta| <= bound <= target over the whole domain, against mpmath."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        log_sigma=st.floats(-12.0, math.log10(21.0)),
+        t=st.floats(-200.0, 200.0),
+        log_target=st.floats(-13.0, math.log10(0.3)),
+    )
+    def test_bound_holds(self, log_sigma, t, log_target):
+        sigma, target = 10.0**log_sigma, 10.0**log_target
+        value, bound = oracle.eta_many(sigma, t, target)
+        assert abs(complex(value) - _altzeta(sigma, t)) <= bound <= target
+        # the tail's exponent bounds ln(Gamma(sigma) / |Gamma(s)|) from above
+        with mpmath.workdps(30):
+            log_ratio = float(mpmath.loggamma(sigma) - mpmath.re(mpmath.loggamma(mpmath.mpc(sigma, t))))
+        ell = float(oracle._log_gamma_ratio(np.array([sigma]), np.array([abs(t)]))[0])
+        assert ell >= log_ratio - 1e-13 * (1.0 + abs(log_ratio))
+
+    @pytest.mark.parametrize("sigma", [1e-13, 1e-20, 1e-100])
+    @pytest.mark.parametrize("t", [0.5, 5.0])
+    def test_raised_counts(self, sigma, t):
+        ref = _altzeta(sigma, t)
+        for target in (1e-13, 1e-9):
+            value, bound = oracle.eta_many(sigma, t, target)
+            assert abs(complex(value) - ref) <= bound <= target
+        # at 1e-9 the count is raised above ceil(1.2 n) + 8
+        old = int(math.ceil(1.2 * (math.ceil(1.31 * 9 + 0.9 * t) + 4))) + 8
+        assert _ref_eta(complex(sigma, t), 1e-9)[2] > old
+
+    def test_coarse_targets(self):
+        # so coarse that ceil(1.2 n) + 8 is 0 or negative: one term is summed
+        for target in (3e8, 1e10):
+            for s in (0.5 + 0.0j, 0.5 - 1.0j):
+                v = eta(s, target)
+                assert abs(v.value - _altzeta(s.real, s.imag)) <= v.abs_error_bound <= target
+
+    def test_log_gamma_ratio_edges(self):
+        sig = np.array([5e-324, 1e-300, 0.5, 21.0, 0.5])
+        t = np.array([200.0, 0.5, 0.0, 0.0, 1e-300])
+        ell = oracle._log_gamma_ratio(sig, t)
+        assert np.all(np.isfinite(ell))
+        assert ell[2] == ell[3] == 0.0
+
+
+# The per-point oracle, written out apart from eta_many: one pass at
+# ceil(1.2 n) + 8 terms, raised by a plain search where the a-priori tail
+# needs more.  The batched oracle must reproduce it bit for bit.
 def _ref_pass(sigma: float, t_abs: float, n: int):
     w, d = oracle._acceleration_weights(n)
     k = np.arange(1, n + 1, dtype=np.longdouble)
@@ -193,25 +247,33 @@ def _ref_pass(sigma: float, t_abs: float, n: int):
     return complex(prod.sum() / d), float(np.abs(prod).sum() / d)
 
 
+def _ref_log_gamma_ratio(sigma: float, t_abs: float):
+    """The bound l >= ln(Gamma(sigma) / |Gamma(s)|) at one point, in longdouble."""
+    sig, t = np.longdouble(sigma), np.longdouble(t_abs)
+    big = max(sig, t)
+    r = min(sig, t) / big
+    f = np.log1p(r * r) + 2.0 * (np.log(big) - np.log(sig))
+    return 0.5 * (1.0 - sig) * f + t * np.arctan2(t, sig)
+
+
 def _ref_eta(s: complex, target_error: float, max_terms: int = 400):
-    """(value, bound, rounds) of the per-point certificate loop."""
+    """(value, bound, term count) of the per-point one-pass certificate."""
     t_abs = abs(s.imag)
     n = int(math.ceil(1.31 * -math.log10(target_error) + 0.9 * t_abs)) + 4
-    rounds = 0
-    while True:
-        n_check = int(math.ceil(1.2 * n)) + 8
-        if n_check > max_terms:
-            raise AccuracyUnreachable(f"cannot certify at s = {s}")
-        coarse, _ = _ref_pass(s.real, t_abs, n)
-        value, amp = _ref_pass(s.real, t_abs, n_check)
-        floor = 1e-15 * (1.0 + abs(value)) + oracle._EPS_ACC * amp * (
-            4.0 + 2.0 * t_abs * math.log(n_check) + 2.0 * n_check
-        )
-        bound = 2.0 * abs(coarse - value) + floor
-        rounds += 1
-        if bound <= target_error:
-            return (value.conjugate() if s.imag < 0 else value), bound, rounds
-        n = n_check
+    count = int(math.ceil(1.2 * n)) + 8
+    scale = np.exp(_ref_log_gamma_ratio(s.real, t_abs))
+    while scale / oracle._acceleration_weights(count)[1] > target_error / 2:
+        count += 1
+    if count > max_terms:
+        raise AccuracyUnreachable(f"cannot certify at s = {s}")
+    value, amp = _ref_pass(s.real, t_abs, count)
+    floor = 1e-15 * (1.0 + abs(value)) + oracle._EPS_ACC * amp * (
+        4.0 + 2.0 * t_abs * math.log(count) + 2.0 * count
+    )
+    bound = float(scale / oracle._acceleration_weights(count)[1]) + floor
+    if not bound <= target_error:
+        raise AccuracyUnreachable(f"cannot certify at s = {s}")
+    return (value.conjugate() if s.imag < 0 else value), bound, count
 
 
 def _ref_eta_many(sigmas, ts, target_error=oracle.TARGET_FLOOR, max_terms=400):
@@ -242,17 +304,14 @@ def _random_points(seed: int, size: int):
 
 @pytest.fixture
 def perturbed_weights(monkeypatch):
-    """Spoil the weights below a term count, so a certificate there fails."""
+    """Spoil the weights, so every sum is off by a factor 1 + 1/n."""
     exact = oracle._acceleration_weights
 
-    def install(below: int):
-        def weights(n):
-            w, d = exact(n)
-            return (w * np.longdouble(1.0 + 1.0 / n), d) if n < below else (w, d)
+    def weights(n):
+        w, d = exact(n)
+        return w * np.longdouble(1.0 + 1.0 / n), d
 
-        monkeypatch.setattr(oracle, "_acceleration_weights", weights)
-
-    return install
+    monkeypatch.setattr(oracle, "_acceleration_weights", weights)
 
 
 class TestBatchMatchesReference:
@@ -288,21 +347,26 @@ class TestBatchMatchesReference:
         value, bound = oracle.eta_many(0.5, 10.0)
         assert value.shape == bound.shape == ()
 
-    def test_retry_round(self, perturbed_weights):
-        # below 45 terms a pass is off by a factor 1 + 1/n, so the points
-        # near t = 20 (n <= 35, n_check >= 48) miss the target once and
-        # are certified in a second round with n = n_check; the points
-        # with |t| >= 40 (n >= 52) are not touched
-        perturbed_weights(45)
-        sigmas, ts = _random_points(11, 60)
-        ts[:20] = np.linspace(19.0, 21.0, 20)
-        ts[20:] = np.copysign(40.0 + np.abs(ts[20:]) * 0.8, ts[20:])
+    def test_spoiled_weights_fail_the_self_check(self, perturbed_weights):
+        # the a-priori bound does not see the weights, so only the direct
+        # summation of self_check can catch a pass that is off by 1/n
+        with pytest.raises(AccuracyUnreachable, match=r"certificate failed at s = \(1\+0j\)"):
+            self_check()
+
+    def test_raised_counts_match_reference(self):
+        # near sigma = 0 the tail at ceil(1.2 n) + 8 terms misses half the
+        # target, and the count is raised; the other points keep it
+        sigmas, ts = _random_points(13, 40)
+        sigmas[::2] = 10.0 ** -np.linspace(11.0, 100.0, 20)
+        ts[::2] = np.linspace(-5.0, 5.0, 20)
         values, bounds = oracle.eta_many(sigmas, ts, 1e-9)
-        rounds = [_ref_eta(complex(s, t), 1e-9)[2] for s, t in zip(sigmas, ts)]
-        assert rounds[:20] == [2] * 20 and set(rounds[20:]) == {1}
         want_values, want_bounds = _ref_eta_many(sigmas, ts, 1e-9)
         _assert_same_bits(values, want_values)
         _assert_same_bits(bounds, want_bounds)
+        counts = [_ref_eta(complex(s, t), 1e-9)[2] for s, t in zip(sigmas, ts)]
+        old = [int(math.ceil(1.2 * (math.ceil(11.79 + 0.9 * abs(t)) + 4))) + 8 for t in ts]
+        assert sum(c > o for c, o in zip(counts[::2], old[::2])) >= 15
+        assert counts[1::2] == old[1::2]
 
     def test_empty(self):
         values, bounds = oracle.eta_many([], [], 1e-9)
@@ -315,14 +379,17 @@ class TestBatchErrors:
         with pytest.raises(AccuracyUnreachable, match=r"s = \(0\.3\+150j\) within 60 terms"):
             oracle.eta_many(0.3, ts, 1e-13, max_terms=60)
 
-    def test_later_round_failure_comes_first_in_input_order(self, perturbed_weights):
-        # no certificate can pass now: the point at t = 10 runs out of
-        # terms only after a few retry rounds, the one at t = 150 at once
-        perturbed_weights(10**6)
-        with pytest.raises(AccuracyUnreachable, match=r"s = \(0\.3\+10j\)"):
-            oracle.eta_many(0.3, [10.0, 150.0], 1e-13)
-        with pytest.raises(AccuracyUnreachable, match=r"s = \(0\.3\+10j\)"):
-            oracle.eta_many(0.3, [10.0] + [150.0] * 600, 1e-13)  # more points than a chunk
+    def test_raised_count_over_max_terms_comes_first_in_input_order(self):
+        # sigma = 1e-100 at t = 0.5 needs 149 terms, t = 150 needs 197;
+        # the first of them in C order is named, past the first chunk
+        assert oracle._CHUNK < 600
+        sigmas = [0.5] * 600 + [1e-100, 0.5]
+        with pytest.raises(AccuracyUnreachable, match=r"s = \(1e-100\+0\.5j\) within 100 terms"):
+            oracle.eta_many(sigmas, [10.0] * 600 + [0.5, 150.0], 1e-13, max_terms=100)
+        with pytest.raises(AccuracyUnreachable, match=r"s = \(0\.5\+150j\) within 100 terms"):
+            oracle.eta_many(sigmas[::-1], [150.0, 0.5] + [10.0] * 600, 1e-13, max_terms=100)
+        values, _ = oracle.eta_many(sigmas, [10.0] * 600 + [0.5, 150.0], 1e-13, max_terms=197)
+        assert values.shape == (602,)
 
     @pytest.mark.parametrize("target", [math.inf, math.nan, -math.inf])
     def test_non_finite_target(self, target):

@@ -149,3 +149,14 @@ class TestExtrema:
                 extrema_structure(0.25, 10.0, 200.0, step)
         with pytest.raises(ValueError, match="t axis"):
             extrema_structure(0.25, 60.0, 10.0, 0.01)
+
+    def test_alpha_validated_before_any_evaluation(self, monkeypatch):
+        from etalab import oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle was called")
+
+        monkeypatch.setattr(oracle, "eta_many", refuse)
+        for alpha in (-0.2, 0.5, 0.6, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1/2\), got"):
+                extrema_structure(alpha, 10.0, 12.0, 0.01)
