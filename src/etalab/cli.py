@@ -32,7 +32,8 @@ from .errors import (
     WindowExhausted,
     ZeroDenominator,
 )
-from .series import partial_sum_path
+# partial_sum_path is not called here, but bench/layers.py wraps it by this name
+from .series import _sum_blocks, partial_sum_path
 
 
 def _add_common(sub):
@@ -208,10 +209,15 @@ def cmd_path_export(args) -> int:
         raise ValueError("n-max must be <= 1e7")
     if args.stride < 1:
         raise ValueError("stride must be >= 1")
+    if args.n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {args.n_max}")
     s = complex(args.sigma, args.t)
-    path = partial_sum_path(s, args.n_max)[:: args.stride]
-    indices = range(1, args.n_max + 1)[:: args.stride]
-    rows = [(n, z.real, z.imag) for n, z in zip(indices, path)]
+    rows = []  # the rows n = 1 (mod stride), read off each block of sums
+    for lo, _, (sums,), _ in _sum_blocks((s.real,), s.imag, args.n_max):
+        first = (1 - lo) % args.stride
+        picked = sums[first :: args.stride]
+        rows += zip(range(lo + first, lo + sums.size, args.stride),
+                    picked.real.tolist(), picked.imag.tolist())
     config = {"sigma": s.real, "t": s.imag, "n_max": args.n_max, "stride": args.stride}
     _deliver(_table(cfg, "path-export", config, ("n", "re", "im"), rows), cfg.out)
     return 0
@@ -252,6 +258,8 @@ def cmd_sandwich(args) -> int:
     cfg = _config(args)
     s = complex(args.sigma, args.t)
     ratios._check_ceiling(args.n_max)  # the report holds a path of n_max indices and more
+    if args.n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {args.n_max}")
     diag = orbit.orbit_diagnostics(s, cfg.epsilon, cfg.window, cfg.ceiling)
     start = diag.sandwich_start + 1
     report = orbit.sandwich_report(
@@ -291,11 +299,12 @@ def cmd_ratio(args) -> int:
     oracle._validate(s.real, s.imag, oracle.TARGET_FLOOR)
     ratio = functional.functional_ratio(s)  # needs 0 < sigma < 1; checked before the sweep
     nesting = orbit.nesting_start(s)
-    path, mag, _ = ratios.sum_ratio_path(s, args.n_max)
-    estimate = ratios._limit(path, mag)
-    events = ratios._zero_events(mag, 1, args.zero_threshold, nesting)
     env_from = max(1, args.n_max - 200)
-    envelope = ratios._envelope(path, env_from, functional.functional_ratio_modulus(s))
+    tail, mag, events = ratios._mirrored_pass(
+        s, args.n_max, args.n_max - env_from + 1, events=(args.zero_threshold, nesting)
+    )
+    estimate = ratios._limit(tail, mag, args.n_max)
+    envelope = ratios._envelope(tail, env_from, args.n_max, functional.functional_ratio_modulus(s))
     doc = json_document(
         "etalab/ratio/v1",
         {"sigma": s.real, "t": s.imag, "n_max": args.n_max, "precision": cfg.precision},

@@ -15,8 +15,10 @@ visibly faster than the raw sequence.
 
 Numerator and denominator sums come from the series kernel run at the
 pair (1 - sigma, sigma) in lockstep.  The limit estimate, the zero-sum
-events and the envelope are read off one mirrored pass by the private
-helpers below, so a full ratio report needs one pass, not three.
+events and the envelope are read off one mirrored pass, streamed block
+by block (:func:`_mirrored_pass`): it keeps the events and only the
+tail of ratios that the limit and the envelope read, so a full ratio
+report needs one pass and memory for a few kernel blocks.
 
 Partial sums vanish for at most finitely many indices, and beyond the
 disk-nesting start for at most one; detection separates the machine
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import ZeroDenominator
 from .points import as_complex
-from .series import _sum_blocks, _sum_paths, partial_sum
+from .series import _sum_blocks, partial_sum
 from . import functional
 from . import orbit
 
@@ -110,20 +112,45 @@ def sum_ratio(n: int, s, threshold: float = ZERO_SUM_THRESHOLD) -> RatioSample:
     return RatioSample(n, complex(num[-1] / den[-1]), mag)
 
 
+def _mirrored_pass(s, n_max: int, keep: int, threshold: float = ZERO_SUM_THRESHOLD, events=None):
+    """One mirrored pass over n <= n_max, read block by block.
+
+    Returns (ratios, magnitudes, zero events).  The arrays hold P_n and
+    |S_n(s)| for the last ``keep`` indices, n_max - keep + 1 .. n_max,
+    with NaN ratios where |S_n(s)| <= threshold.  ``events``, when
+    given as (event threshold, nesting index), collects the zero-sum
+    events of the whole range; otherwise none are.  Apart from the
+    kept tail, memory is a few kernel blocks.
+    """
+    s = as_complex(s)
+    first = n_max - keep + 1
+    ratios = np.empty(keep, dtype=np.complex128)
+    mags = np.empty(keep)
+    found: list[ZeroSumEvent] = []
+    for lo, _, (num, den), _ in _sum_blocks((1.0 - s.real, s.real), s.imag, n_max):
+        mag = np.abs(den)
+        if events is not None:
+            found += _zero_events(mag, lo, *events)
+        skip = max(first - lo, 0)
+        if skip < mag.size:
+            at = slice(lo + skip - first, lo + mag.size - first)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                np.divide(num[skip:], den[skip:], out=ratios[at])
+            mags[at] = mag[skip:]
+    ratios[mags <= threshold] = np.nan
+    return ratios, mags, found
+
+
 def sum_ratio_path(s, n_max: int, threshold: float = ZERO_SUM_THRESHOLD):
     """Arrays (ratios, denominator magnitudes, skipped indices) for n <= n_max.
 
     Ratios at skipped indices (denominator below threshold) are NaN.
+    Memory is 24 bytes per index; the limit, zero-event and envelope
+    reports stream the same pass instead.
     """
     _check_threshold(threshold)
-    s = as_complex(s)
-    num, den = _sum_paths((1.0 - s.real, s.real), s.imag, n_max)
-    mag = np.abs(den)
+    ratios, mag, _ = _mirrored_pass(s, n_max, n_max, threshold)
     skipped = [int(i) + 1 for i in np.nonzero(mag <= threshold)[0]]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = num / den
-    if skipped:
-        ratios[np.asarray(skipped) - 1] = np.nan
     return ratios, mag, skipped
 
 
@@ -158,9 +185,8 @@ def detect_zero_sums(
     return events
 
 
-def _limit(ratios: np.ndarray, mag: np.ndarray, tol: float = 1e-9) -> LimitEstimate:
-    """The odd/even average of the last two ratios of a sum_ratio_path."""
-    n_max = len(ratios)
+def _limit(ratios: np.ndarray, mag: np.ndarray, n_max: int, tol: float = 1e-9) -> LimitEstimate:
+    """The odd/even average of the last two ratios of a tail ending at n_max."""
     last = ratios[-1]
     prev = ratios[-2]
     if np.isnan(last) or np.isnan(prev):
@@ -183,13 +209,14 @@ def limit_estimate(
     estimate indistinguishable from the eta(s) = 0 branch of the limit.
     """
     _check_pair(n_max)
-    ratios, mag, _ = sum_ratio_path(s, n_max, threshold)
-    return _limit(ratios, mag, tol)
+    _check_threshold(threshold)
+    ratios, mag, _ = _mirrored_pass(s, n_max, 2, threshold)
+    return _limit(ratios, mag, n_max, tol)
 
 
-def _envelope(ratios: np.ndarray, n_from: int, limit_modulus: float) -> EnvelopeReport:
-    """Envelope statistics over the tail n >= n_from of a sum_ratio_path."""
-    window = np.abs(ratios[n_from - 1 :])
+def _envelope(ratios: np.ndarray, n_from: int, n_to: int, limit_modulus: float) -> EnvelopeReport:
+    """Envelope statistics over the ratios of n_from .. n_to."""
+    window = np.abs(ratios)
     signs = np.sign(window - limit_modulus)
     changes = signs[1:] != signs[:-1]
     alternation = float(np.mean(changes)) if changes.size else 0.0
@@ -204,7 +231,7 @@ def _envelope(ratios: np.ndarray, n_from: int, limit_modulus: float) -> Envelope
     runs[length] += 1
     return EnvelopeReport(
         n_from=n_from,
-        n_to=len(ratios),
+        n_to=n_to,
         limit_modulus=float(limit_modulus),
         alternation_rate=alternation,
         run_lengths=dict(sorted(runs.items())),
@@ -225,8 +252,8 @@ def envelope_diagnostics(
     s = as_complex(s)
     if limit_modulus is None:
         limit_modulus = functional.functional_ratio_modulus(s)
-    ratios, _, _ = sum_ratio_path(s, n_to)
-    return _envelope(ratios, n_from, limit_modulus)
+    ratios, _, _ = _mirrored_pass(s, n_to, n_to - n_from + 1)
+    return _envelope(ratios, n_from, n_to, limit_modulus)
 
 
 def alpha_sign_changes(n: int, m: int, t: float, alpha_grid) -> int:
@@ -235,15 +262,15 @@ def alpha_sign_changes(n: int, m: int, t: float, alpha_grid) -> int:
         raise ValueError("indices must differ")
     if min(n, m) < 1:
         raise ValueError(f"indices must be >= 1, got {n} and {m}")
+    lo, hi = min(n, m), max(n, m)
     diffs = []
     for alpha in alpha_grid:
         s = complex(0.5 - alpha, t)
-        hi = max(n, m)
-        ratios, mag, _ = sum_ratio_path(s, hi)
+        ratios, mag, _ = _mirrored_pass(s, hi, hi - lo + 1)
         for idx in (n, m):
-            if mag[idx - 1] <= ZERO_SUM_THRESHOLD:
-                raise ZeroDenominator(float(mag[idx - 1]), idx)
-        diffs.append(abs(ratios[n - 1]) - abs(ratios[m - 1]))
+            if mag[idx - lo] <= ZERO_SUM_THRESHOLD:
+                raise ZeroDenominator(float(mag[idx - lo]), idx)
+        diffs.append(abs(ratios[n - lo]) - abs(ratios[m - lo]))
     signs = np.sign(diffs)
     live = signs[signs != 0]
     return int(np.count_nonzero(live[1:] != live[:-1]))

@@ -9,6 +9,9 @@ accumulation so that million-term sweeps do not lose digits.
 Every partial sum in the package comes from one blockwise kernel,
 :func:`_sum_blocks`, which sums several sigmas at a common t in
 lockstep; the mirrored ratios use it with the pair (1 - sigma, sigma).
+It works a block of 65536 indices at a time, so a consumer that reads
+each block as it comes (the `ratio` and `path-export` commands do)
+needs memory for a few blocks, not for the whole path.
 
 Negative t is evaluated at |t| and conjugated, which makes conjugate
 symmetry of all outputs exact rather than approximate.
@@ -85,12 +88,13 @@ def _sum_blocks(sigmas: tuple[float, ...], t: float, n_max: int):
 
     Yields (lo, terms, sums, totals) for consecutive blocks of indices
     lo .. lo + len - 1 up to n_max.  Per block, ln n and the alternating
-    phase e^(-i |t| ln n) are computed once and shared by all sigmas.
+    phase e^(-i |t| ln n) are computed once and shared by all sigmas; the
+    phase is written as cos and -sin into the parts of a complex block.
     terms[k] is the block of series terms at sigmas[k], and sums[k] the
     block of S_n: the running total of the earlier blocks plus a plain
     cumulative sum within this one.  The running total itself is carried
-    with compensation, and totals[k] is its value past the block's end.
-    For t < 0 everything is conjugated.
+    with compensation, and totals[k] is its value past the block's end,
+    so the block size fixes the bits.  For t < 0 everything is conjugated.
     """
     if not all(math.isfinite(x) for x in (*sigmas, t)):
         raise ValueError(f"sigma and t must be finite, got sigma = {sigmas}, t = {t}")
@@ -100,32 +104,29 @@ def _sum_blocks(sigmas: tuple[float, ...], t: float, n_max: int):
     for lo in range(1, n_max + 1, _BLOCK):
         hi = min(lo + _BLOCK, n_max + 1)
         ln = np.log(np.arange(lo, hi, dtype=np.float64))
-        phase = np.exp(-1j * t_abs * ln)
+        theta = t_abs * ln
+        phase = np.empty(ln.size, dtype=np.complex128)
+        np.cos(theta, out=phase.real)
+        # the parts of e^(-i theta); 0 - sin, not -sin, keeps the zero at theta = 0
+        # a +0.0, as the complex exponential has it
+        np.subtract(0.0, np.sin(theta, out=theta), out=phase.imag)
         phase[lo % 2 :: 2] *= -1.0  # even n carries the alternating minus
         terms = [np.exp(-sigma * ln) * phase for sigma in sigmas]
         sums = []
         for k, term in enumerate(terms):
             cum = np.cumsum(term)
-            sums.append(bases[k] + cum)
             value = cum[-1] + carries[k]
+            cum += bases[k]
             total = bases[k] + value
             carries[k] = value - (total - bases[k])
             bases[k] = total
+            sums.append(cum)
         if t < 0:
             for block in (*terms, *sums):
                 np.conjugate(block, out=block)
             yield lo, terms, sums, [b.conjugate() for b in bases]
         else:
             yield lo, terms, sums, list(bases)
-
-
-def _sum_paths(sigmas: tuple[float, ...], t: float, n_max: int) -> list[np.ndarray]:
-    """Arrays of S_1 .. S_{n_max} at each sigma, filled from the kernel."""
-    paths = [np.empty(n_max, dtype=np.complex128) for _ in sigmas]
-    for lo, _, sums, _ in _sum_blocks(sigmas, t, n_max):
-        for path, block in zip(paths, sums):
-            path[lo - 1 : lo - 1 + block.size] = block
-    return paths
 
 
 def partial_sum(n: int, s) -> complex:
@@ -143,13 +144,17 @@ def partial_sum(n: int, s) -> complex:
 def partial_sum_path(s, n_max: int) -> np.ndarray:
     """Array of S_1 .. S_{n_max} (complex128, length n_max).
 
-    Memory is 16 bytes per index; callers scanning beyond ~10^7 indices
-    should stream with :func:`iter_partial_sums` instead.
+    Memory is 16 bytes per index.  A caller that reads the sums once,
+    in order, can loop over the kernel's blocks instead and hold one
+    block at a time, as the `ratio` and `path-export` commands do.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     s = as_complex(s)
-    return _sum_paths((s.real,), s.imag, n_max)[0]
+    path = np.empty(n_max, dtype=np.complex128)
+    for lo, _, (sums,), _ in _sum_blocks((s.real,), s.imag, n_max):
+        path[lo - 1 : lo - 1 + sums.size] = sums
+    return path
 
 
 def iter_partial_sums(s, n_from: int = 1) -> Iterator[SeriesState]:

@@ -42,7 +42,8 @@ class ZeroCheck:
 def load_zero_table(path) -> list[ZeroEntry]:
     """Read a zero table from CSV with columns ordinal,t (header optional).
 
-    A data row with other than two fields is rejected, naming its line.
+    A data row with other than two fields, or with a field that does not
+    parse as its number, is rejected, naming its line.
     """
     entries: list[ZeroEntry] = []
     with open(Path(path), newline="") as fh:
@@ -52,7 +53,10 @@ def load_zero_table(path) -> list[ZeroEntry]:
                 continue
             if len(row) != 2:
                 raise ValueError(f"zero table line {reader.line_num}: expected 2 fields ordinal,t, got {len(row)}")
-            entries.append(ZeroEntry(int(row[0]), float(row[1])))
+            try:
+                entries.append(ZeroEntry(int(row[0]), float(row[1])))
+            except ValueError as exc:
+                raise ValueError(f"zero table line {reader.line_num}: {exc}") from None
     if any(b.t <= a.t for a, b in zip(entries, entries[1:])):
         raise ValueError("zero table ordinates must be strictly increasing")
     return entries

@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from etalab import detect_zero_sums, partial_sum_path, sum_ratio_path
 from etalab.cli import main
-from etalab.emitters import validate_document
+from etalab.emitters import render_csv, validate_document
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -98,6 +100,21 @@ class TestPathExport:
         cross = np.abs(np.imag(va * np.conj(vb)))  # zero iff parallel
         assert np.all(cross < 1e-12)
 
+    @pytest.mark.parametrize("t,n_max,stride", [
+        ("38", 65536, 7), ("-38", 65537, 1), ("0", 3, 1), ("0", 131073, 1000),
+        ("-38", 131073, 65536), ("38", 5, 10),
+    ])
+    def test_rows_are_the_strided_path(self, capsys, t, n_max, stride):
+        # rows are read off each block of sums; they carry the path's bits
+        code, out, _ = run(capsys, "path-export", "--sigma", "0.3", "--t", t,
+                           "--n-max", str(n_max), "--stride", str(stride))
+        assert code == 0
+        path = partial_sum_path(complex(0.3, float(t)), n_max)
+        rows = [(n, z.real, z.imag) for n, z in zip(range(1, n_max + 1, stride), path[::stride])]
+        assert out == render_csv(("n", "re", "im"), rows)
+        if t == "0":  # the sign of zero: S_1 = 1 + 0i prints as 0.0
+            assert out.splitlines()[1] == "1,1.0,0.0"
+
 class TestOrbitSandwich:
     def test_orbit_reports_transition(self, capsys):
         code, out, _ = run(capsys, "orbit", "--sigma", "0.50567", "--t", "37.58631")
@@ -162,6 +179,52 @@ class TestRatioCommand:
         assert code == 0
         doc = json.loads(out)
         assert 1516 in [e["n"] for e in doc["data"]["zero_events"]]
+
+    @pytest.mark.parametrize("sigma,t,n_max,threshold", [
+        ("0.50567", "37.58631", 2000, "1e-2"), ("0.50567", "-37.58631", 65537, "1e-2"),
+        ("0.3", "80", 131073, "1e-9"), ("0.3", "0", 2, "1e-9"),
+    ])
+    def test_report_is_the_array_path(self, capsys, sigma, t, n_max, threshold):
+        # the streamed report reads the bits of sum_ratio_path
+        code, out, _ = run(capsys, "ratio", "--sigma", sigma, "--t", t,
+                           "--n-max", str(n_max), "--zero-threshold", threshold)
+        assert code == 0
+        data = json.loads(out)["data"]
+        s = complex(float(sigma), float(t))
+        ratios, _, _ = sum_ratio_path(s, n_max)
+        value = 0.5 * (complex(ratios[-1]) + complex(ratios[-2]))
+        assert (data["limit"]["re"], data["limit"]["im"]) == (value.real, value.imag)
+        assert data["limit"]["n_used"] == n_max
+        events = detect_zero_sums(s, n_max, float(threshold))
+        assert [(e["n"], e["magnitude"], e["beyond_nesting"]) for e in data["zero_events"]] == [
+            (e.n, e.magnitude, e.beyond_nesting) for e in events
+        ]
+        n_from = max(1, n_max - 200)
+        assert (data["envelope"]["n_from"], data["envelope"]["n_to"]) == (n_from, n_max)
+        signs = np.sign(np.abs(ratios[n_from - 1 :]) - data["envelope"]["limit_modulus"])
+        changes = signs[1:] != signs[:-1]
+        assert data["envelope"]["alternation_rate"] == (float(np.mean(changes)) if changes.size else 0.0)
+
+
+class TestMemory:
+    """`ratio` and `path-export` hold a few kernel blocks, not the path."""
+
+    @pytest.mark.parametrize("argv", [
+        ("ratio", "--sigma", "0.3", "--t", "80", "--n-max", "1000000"),
+        ("path-export", "--sigma", "0.3", "--t", "80", "--n-max", "2000000", "--stride", "1000"),
+    ])
+    def test_traced_peak_is_block_sized(self, capsys, argv):
+        # a path of 10^6 indices alone would take 16 MB, its mirrored ratios 56 MB
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 16 * 2**20
+
 
 class TestScanCommand:
     def test_alpha_zero_rows_are_unity(self, capsys, tmp_path):
@@ -281,6 +344,19 @@ class TestVerifyZeros:
         assert code == 0
         assert out.splitlines()[1:] == []
 
+    @pytest.mark.parametrize("text,message", [
+        ("ordinal,t\n1,abc\n", "zero table line 2: could not convert string to float: 'abc'"),
+        ("ordinal,t\nx,14.1\n", "zero table line 2: invalid literal for int() with base 10: 'x'"),
+        ("1,14.13472514\n\n6,3x\n", "zero table line 3: could not convert string to float: '3x'"),
+    ])
+    def test_row_with_a_non_number(self, capsys, tmp_path, text, message):
+        table = tmp_path / "zeros.csv"
+        table.write_text(text)
+        code, out, err = run(capsys, "verify-zeros", "--table", str(table))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     @pytest.mark.parametrize("text,line,fields", [
         ("ordinal,t\n1\n", 2, 1),
         ("1,14.13472514\n6,37.586178,x\n", 2, 3),
@@ -394,6 +470,8 @@ class TestInvalidInput:
         ("ratio", ("--sigma", "1", "--t", "20"), "error: functional ratio needs 0 < Re(s) < 1, got 1.0\n"),
         ("sandwich", ("--sigma", "0.5", "--t", "20", "--n-max", "10000001"),
          "error: n_max must be <= 1e+07\n"),
+        ("sandwich", ("--sigma", "0.5", "--t", "20", "--n-max", "0"), "error: n_max must be >= 1, got 0\n"),
+        ("sandwich", ("--sigma", "0.5", "--t", "20", "--n-max", "-3"), "error: n_max must be >= 1, got -3\n"),
     ])
     def test_refused_before_the_sweep(self, capsys, monkeypatch, command, argv, message):
         from etalab import orbit
@@ -450,7 +528,7 @@ class TestInvalidInput:
         def summed(*args, **kwargs):
             raise AssertionError("summed with an invalid threshold")
 
-        monkeypatch.setattr(ratios, "_sum_paths", summed)
+        monkeypatch.setattr(ratios, "_sum_blocks", summed)
         for threshold in ("nan", "inf", "0", "-1e-9"):
             code, out, err = run(capsys, "ratio", "--sigma", "0.3", "--t", "20", f"--zero-threshold={threshold}")
             assert code == 2

@@ -139,6 +139,45 @@ class TestLimitEstimate:
         assert avg_err < raw_err / 10.0
 
 
+class TestStreamedReports:
+    """limit_estimate, envelope_diagnostics and alpha_sign_changes keep only
+    a tail of one streamed pass; they read the bits of sum_ratio_path."""
+
+    @pytest.mark.parametrize("s", [0.3 + 20.0j, 0.3 - 20.0j, 0.3 + 0.0j], ids=str)
+    @pytest.mark.parametrize("n_max", [2, 3, 65536, 65537, 131073])
+    def test_tail_reports_match_the_array_path(self, s, n_max):
+        ratios, _, _ = sum_ratio_path(s, n_max)
+        est = limit_estimate(s, n_max)
+        assert est.n_used == n_max
+        want = 0.5 * (complex(ratios[-1]) + complex(ratios[-2]))
+        assert np.array(est.value).tobytes() == np.array(want).tobytes()
+        n_from = max(1, n_max - 200)
+        rep = envelope_diagnostics(s, n_from, n_max, limit_modulus=0.6)
+        assert (rep.n_from, rep.n_to) == (n_from, n_max)
+        signs = np.sign(np.abs(ratios[n_from - 1 :]) - 0.6)
+        changes = signs[1:] != signs[:-1]
+        assert rep.alternation_rate == (float(np.mean(changes)) if changes.size else 0.0)
+        assert sum(length * count for length, count in rep.run_lengths.items()) == n_max - n_from + 1
+
+    def test_alpha_sign_changes_across_a_block_edge(self):
+        grid = [0.05, 0.1, 0.15, 0.2]
+        diffs = []
+        for alpha in grid:
+            ratios, _, _ = sum_ratio_path(complex(0.5 - alpha, 20.0), 65540)
+            diffs.append(abs(ratios[65539]) - abs(ratios[65533]))
+        signs = np.sign(diffs)
+        live = signs[signs != 0]
+        want = int(np.count_nonzero(live[1:] != live[:-1]))
+        assert alpha_sign_changes(65540, 65534, 20.0, grid) == want
+        assert alpha_sign_changes(65534, 65540, 20.0, grid) == want
+
+    def test_masked_tail_names_the_absolute_index(self):
+        # |S_1516| at the rounded near-null point is below 1e-2
+        with pytest.raises(ZeroDenominator) as info:
+            limit_estimate(S_LATE_NULL, 1516, threshold=1e-2)
+        assert info.value.n == 1516
+
+
 class TestEnvelope:
     def test_critical_line_signs_are_flat(self):
         rep = envelope_diagnostics(0.5 + 40.0j, 100, 300)

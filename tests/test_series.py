@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etalab import ratios as ratio_module
 from etalab import (
     SeriesState,
     detect_zero_sums,
@@ -259,7 +260,8 @@ def _assert_same_bits(got, want):
 class TestKernelMatchesReference:
     N = 300001  # five kernel blocks
 
-    @pytest.fixture(scope="class", params=[0.3 + 80.0j, 0.404 - 147.0j], ids=str)
+    # t = 0 checks the sign of zero: every imaginary part is +0.0
+    @pytest.fixture(scope="class", params=[0.3 + 80.0j, 0.404 - 147.0j, 0.3 + 0.0j], ids=str)
     def case(self, request):
         s = request.param
         num, den = _ref_mirrored_sums(s, self.N)
@@ -308,6 +310,26 @@ class TestKernelMatchesReference:
         assert [e.n for e in events] == [int(i) + 1 for i in want]
         _assert_same_bits([e.magnitude for e in events], mags[want])
         assert [e.beyond_nesting for e in events] == [int(i) + 1 > self.N // 2 for i in want]
+
+    @pytest.mark.parametrize("n_max", [2, 3, 65536, 65537, 131073, N])
+    def test_streamed_tail_and_events(self, case, n_max):
+        # the streamed pass behind `etalab ratio` keeps a tail of the ratios
+        # and collects the events block by block, with the bits of the path
+        s, num, den = case
+        mags = np.abs(den[:n_max])
+        threshold = float(np.sort(mags)[min(20, n_max - 1)])
+        keep = min(n_max, 201)
+        tail, tail_mags, events = ratio_module._mirrored_pass(
+            s, n_max, keep, threshold, events=(threshold, n_max // 2)
+        )
+        want = num[:n_max] / den[:n_max]
+        want[mags <= threshold] = np.nan
+        _assert_same_bits(tail, want[-keep:])
+        _assert_same_bits(tail_mags, mags[-keep:])
+        hits = np.nonzero(mags < threshold)[0]
+        assert [e.n for e in events] == [int(i) + 1 for i in hits]
+        _assert_same_bits([e.magnitude for e in events], mags[hits])
+        assert [e.beyond_nesting for e in events] == [int(i) + 1 > n_max // 2 for i in hits]
 
     def test_non_finite_input_rejected(self):
         for s in (complex(math.nan, 1.0), complex(0.5, math.inf)):
