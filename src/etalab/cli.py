@@ -32,8 +32,7 @@ from .errors import (
     WindowExhausted,
     ZeroDenominator,
 )
-# partial_sum_path is not called here, but bench/layers.py wraps it by this name
-from .series import _sum_blocks, partial_sum_path
+from .series import partial_sum_path
 
 
 def _add_common(sub):
@@ -207,17 +206,9 @@ def cmd_path_export(args) -> int:
     cfg = _config(args)
     if args.n_max > 10**7:
         raise ValueError("n-max must be <= 1e7")
-    if args.stride < 1:
-        raise ValueError("stride must be >= 1")
-    if args.n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {args.n_max}")
     s = complex(args.sigma, args.t)
-    rows = []  # the rows n = 1 (mod stride), read off each block of sums
-    for lo, _, (sums,), _ in _sum_blocks((s.real,), s.imag, args.n_max):
-        first = (1 - lo) % args.stride
-        picked = sums[first :: args.stride]
-        rows += zip(range(lo + first, lo + sums.size, args.stride),
-                    picked.real.tolist(), picked.imag.tolist())
+    path = partial_sum_path(s, args.n_max, args.stride)
+    rows = zip(range(1, args.n_max + 1, args.stride), path.real.tolist(), path.imag.tolist())
     config = {"sigma": s.real, "t": s.imag, "n_max": args.n_max, "stride": args.stride}
     _deliver(_table(cfg, "path-export", config, ("n", "re", "im"), rows), cfg.out)
     return 0
@@ -300,9 +291,12 @@ def cmd_ratio(args) -> int:
     ratio = functional.functional_ratio(s)  # needs 0 < sigma < 1; checked before the sweep
     nesting = orbit.nesting_start(s)
     env_from = max(1, args.n_max - 200)
-    tail, mag, events = ratios._mirrored_pass(
-        s, args.n_max, args.n_max - env_from + 1, events=(args.zero_threshold, nesting)
-    )
+    events = []
+
+    def collect(lo, mags):
+        events.extend(ratios._zero_events(mags, lo, args.zero_threshold, nesting))
+
+    tail, mag, _ = ratios.sum_ratio_path(s, args.n_max, n_from=env_from, on_block=collect)
     estimate = ratios._limit(tail, mag, args.n_max)
     envelope = ratios._envelope(tail, env_from, args.n_max, functional.functional_ratio_modulus(s))
     doc = json_document(

@@ -15,9 +15,10 @@ visibly faster than the raw sequence.
 
 Numerator and denominator sums come from the series kernel run at the
 pair (1 - sigma, sigma) in lockstep.  The limit estimate, the zero-sum
-events and the envelope are read off one mirrored pass, streamed block
-by block (:func:`_mirrored_pass`): it keeps the events and only the
-tail of ratios that the limit and the envelope read, so a full ratio
+events and the envelope are read off one mirrored pass,
+:func:`sum_ratio_path`, streamed block by block: it keeps only the
+window of ratios that the limit and the envelope read, and hands each
+block's denominator magnitudes to the zero-event scan, so a full ratio
 report needs one pass and memory for a few kernel blocks.
 
 Partial sums vanish for at most finitely many indices, and beyond the
@@ -112,46 +113,38 @@ def sum_ratio(n: int, s, threshold: float = ZERO_SUM_THRESHOLD) -> RatioSample:
     return RatioSample(n, complex(num[-1] / den[-1]), mag)
 
 
-def _mirrored_pass(s, n_max: int, keep: int, threshold: float = ZERO_SUM_THRESHOLD, events=None):
-    """One mirrored pass over n <= n_max, read block by block.
+def sum_ratio_path(
+    s, n_max: int, threshold: float = ZERO_SUM_THRESHOLD, n_from: int = 1, on_block=None
+):
+    """Arrays (ratios, denominator magnitudes, skipped indices) for n_from <= n <= n_max.
 
-    Returns (ratios, magnitudes, zero events).  The arrays hold P_n and
-    |S_n(s)| for the last ``keep`` indices, n_max - keep + 1 .. n_max,
-    with NaN ratios where |S_n(s)| <= threshold.  ``events``, when
-    given as (event threshold, nesting index), collects the zero-sum
-    events of the whole range; otherwise none are.  Apart from the
-    kept tail, memory is a few kernel blocks.
+    One mirrored pass sums every n <= n_max, a kernel block at a time,
+    and keeps the window n_from .. n_max: memory is 24 bytes per kept
+    index plus a few blocks.  Ratios at skipped indices (denominator at
+    or below threshold) are NaN; the skipped indices are absolute.
+    ``on_block``, when given, is called as on_block(lo, magnitudes) with
+    |S_n(s)| for the indices lo, lo + 1, ... of every block of the pass,
+    which is how a report collects zero-sum events in the same pass.
     """
+    _check_threshold(threshold)
+    if not 1 <= n_from <= max(n_max, 1):
+        raise ValueError(f"need 1 <= n_from <= n_max, got n_from = {n_from}, n_max = {n_max}")
     s = as_complex(s)
-    first = n_max - keep + 1
-    ratios = np.empty(keep, dtype=np.complex128)
-    mags = np.empty(keep)
-    found: list[ZeroSumEvent] = []
+    ratios = np.empty(n_max - n_from + 1, dtype=np.complex128)
+    mags = np.empty(ratios.size)
     for lo, _, (num, den), _ in _sum_blocks((1.0 - s.real, s.real), s.imag, n_max):
         mag = np.abs(den)
-        if events is not None:
-            found += _zero_events(mag, lo, *events)
-        skip = max(first - lo, 0)
+        if on_block is not None:
+            on_block(lo, mag)
+        skip = max(n_from - lo, 0)
         if skip < mag.size:
-            at = slice(lo + skip - first, lo + mag.size - first)
+            at = slice(lo + skip - n_from, lo + mag.size - n_from)
             with np.errstate(invalid="ignore", divide="ignore"):
                 np.divide(num[skip:], den[skip:], out=ratios[at])
             mags[at] = mag[skip:]
-    ratios[mags <= threshold] = np.nan
-    return ratios, mags, found
-
-
-def sum_ratio_path(s, n_max: int, threshold: float = ZERO_SUM_THRESHOLD):
-    """Arrays (ratios, denominator magnitudes, skipped indices) for n <= n_max.
-
-    Ratios at skipped indices (denominator below threshold) are NaN.
-    Memory is 24 bytes per index; the limit, zero-event and envelope
-    reports stream the same pass instead.
-    """
-    _check_threshold(threshold)
-    ratios, mag, _ = _mirrored_pass(s, n_max, n_max, threshold)
-    skipped = [int(i) + 1 for i in np.nonzero(mag <= threshold)[0]]
-    return ratios, mag, skipped
+    skipped = np.nonzero(mags <= threshold)[0]
+    ratios[skipped] = np.nan
+    return ratios, mags, [n_from + int(i) for i in skipped]
 
 
 def _zero_events(mags: np.ndarray, lo: int, threshold: float, nesting_index: int) -> list[ZeroSumEvent]:
@@ -209,8 +202,7 @@ def limit_estimate(
     estimate indistinguishable from the eta(s) = 0 branch of the limit.
     """
     _check_pair(n_max)
-    _check_threshold(threshold)
-    ratios, mag, _ = _mirrored_pass(s, n_max, 2, threshold)
+    ratios, mag, _ = sum_ratio_path(s, n_max, threshold, n_from=n_max - 1)
     return _limit(ratios, mag, n_max, tol)
 
 
@@ -252,7 +244,7 @@ def envelope_diagnostics(
     s = as_complex(s)
     if limit_modulus is None:
         limit_modulus = functional.functional_ratio_modulus(s)
-    ratios, _, _ = _mirrored_pass(s, n_to, n_to - n_from + 1)
+    ratios, _, _ = sum_ratio_path(s, n_to, n_from=n_from)
     return _envelope(ratios, n_from, n_to, limit_modulus)
 
 
@@ -266,7 +258,7 @@ def alpha_sign_changes(n: int, m: int, t: float, alpha_grid) -> int:
     diffs = []
     for alpha in alpha_grid:
         s = complex(0.5 - alpha, t)
-        ratios, mag, _ = _mirrored_pass(s, hi, hi - lo + 1)
+        ratios, mag, _ = sum_ratio_path(s, hi, n_from=lo)
         for idx in (n, m):
             if mag[idx - lo] <= ZERO_SUM_THRESHOLD:
                 raise ZeroDenominator(float(mag[idx - lo]), idx)

@@ -10,8 +10,9 @@ Every partial sum in the package comes from one blockwise kernel,
 :func:`_sum_blocks`, which sums several sigmas at a common t in
 lockstep; the mirrored ratios use it with the pair (1 - sigma, sigma).
 It works a block of 65536 indices at a time, so a consumer that reads
-each block as it comes (the `ratio` and `path-export` commands do)
-needs memory for a few blocks, not for the whole path.
+each block as it comes needs memory for a few blocks, not for the whole
+path: :func:`partial_sum_path` keeps only every stride-th sum, and the
+mirrored ratio pass only the window of ratios it is asked for.
 
 Negative t is evaluated at |t| and conjugated, which makes conjugate
 symmetry of all outputs exact rather than approximate.
@@ -88,13 +89,13 @@ def _sum_blocks(sigmas: tuple[float, ...], t: float, n_max: int):
 
     Yields (lo, terms, sums, totals) for consecutive blocks of indices
     lo .. lo + len - 1 up to n_max.  Per block, ln n and the alternating
-    phase e^(-i |t| ln n) are computed once and shared by all sigmas; the
-    phase is written as cos and -sin into the parts of a complex block.
-    terms[k] is the block of series terms at sigmas[k], and sums[k] the
-    block of S_n: the running total of the earlier blocks plus a plain
-    cumulative sum within this one.  The running total itself is carried
-    with compensation, and totals[k] is its value past the block's end,
-    so the block size fixes the bits.  For t < 0 everything is conjugated.
+    phase e^(-i |t| ln n) are computed once, in place in one complex
+    block, and shared by all sigmas.  terms[k] is the block of series
+    terms at sigmas[k], and sums[k] the block of S_n: the running total
+    of the earlier blocks plus a plain cumulative sum within this one.
+    The running total itself is carried with compensation, and totals[k]
+    is its value past the block's end, so the block size fixes the bits.
+    For t < 0 everything is conjugated.
     """
     if not all(math.isfinite(x) for x in (*sigmas, t)):
         raise ValueError(f"sigma and t must be finite, got sigma = {sigmas}, t = {t}")
@@ -104,12 +105,8 @@ def _sum_blocks(sigmas: tuple[float, ...], t: float, n_max: int):
     for lo in range(1, n_max + 1, _BLOCK):
         hi = min(lo + _BLOCK, n_max + 1)
         ln = np.log(np.arange(lo, hi, dtype=np.float64))
-        theta = t_abs * ln
-        phase = np.empty(ln.size, dtype=np.complex128)
-        np.cos(theta, out=phase.real)
-        # the parts of e^(-i theta); 0 - sin, not -sin, keeps the zero at theta = 0
-        # a +0.0, as the complex exponential has it
-        np.subtract(0.0, np.sin(theta, out=theta), out=phase.imag)
+        phase = -1j * t_abs * ln
+        np.exp(phase, out=phase)
         phase[lo % 2 :: 2] *= -1.0  # even n carries the alternating minus
         terms = [np.exp(-sigma * ln) * phase for sigma in sigmas]
         sums = []
@@ -141,19 +138,24 @@ def partial_sum(n: int, s) -> complex:
     return totals[0]
 
 
-def partial_sum_path(s, n_max: int) -> np.ndarray:
-    """Array of S_1 .. S_{n_max} (complex128, length n_max).
+def partial_sum_path(s, n_max: int, stride: int = 1) -> np.ndarray:
+    """Array of S_n for n = 1, 1 + stride, 1 + 2 stride, ... <= n_max.
 
-    Memory is 16 bytes per index.  A caller that reads the sums once,
-    in order, can loop over the kernel's blocks instead and hold one
-    block at a time, as the `ratio` and `path-export` commands do.
+    Every index up to n_max is summed, a kernel block at a time, but only
+    every stride-th sum is kept: memory is 16 bytes per kept index plus
+    a few blocks, so a strided export never holds the whole path.
     """
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     s = as_complex(s)
-    path = np.empty(n_max, dtype=np.complex128)
+    path = np.empty(len(range(1, n_max + 1, stride)), dtype=np.complex128)
     for lo, _, (sums,), _ in _sum_blocks((s.real,), s.imag, n_max):
-        path[lo - 1 : lo - 1 + sums.size] = sums
+        first = (1 - lo) % stride  # offset of the block's first kept index
+        kept = sums[first::stride]
+        at = (lo + first - 1) // stride
+        path[at : at + kept.size] = kept
     return path
 
 

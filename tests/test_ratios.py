@@ -171,6 +171,25 @@ class TestStreamedReports:
         assert alpha_sign_changes(65540, 65534, 20.0, grid) == want
         assert alpha_sign_changes(65534, 65540, 20.0, grid) == want
 
+    @pytest.mark.parametrize("s", [0.3 + 20.0j, 0.3 - 20.0j, 0.3 + 0.0j], ids=str)
+    @pytest.mark.parametrize("n_from", [1, 2, 65536, 65537, 131073])
+    def test_window_is_a_slice_of_the_path(self, s, n_from):
+        ratios, mags, _ = sum_ratio_path(s, 131073)
+        window, window_mags, _ = sum_ratio_path(s, 131073, n_from=n_from)
+        assert window.tobytes() == ratios[n_from - 1 :].tobytes()
+        assert window_mags.tobytes() == mags[n_from - 1 :].tobytes()
+
+    def test_window_skips_absolute_indices(self):
+        _, _, skipped = sum_ratio_path(S_LATE_NULL, 1600, threshold=1e-2)
+        assert skipped
+        _, _, tail = sum_ratio_path(S_LATE_NULL, 1600, threshold=1e-2, n_from=skipped[-1])
+        assert tail == [skipped[-1]]
+
+    @pytest.mark.parametrize("n_from", [0, 11])
+    def test_window_outside_the_pass_rejected(self, n_from):
+        with pytest.raises(ValueError, match="n_from"):
+            sum_ratio_path(0.3 + 20.0j, 10, n_from=n_from)
+
     def test_masked_tail_names_the_absolute_index(self):
         # |S_1516| at the rounded near-null point is below 1e-2
         with pytest.raises(ZeroDenominator) as info:

@@ -313,23 +313,41 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("n_max", [2, 3, 65536, 65537, 131073, N])
     def test_streamed_tail_and_events(self, case, n_max):
-        # the streamed pass behind `etalab ratio` keeps a tail of the ratios
-        # and collects the events block by block, with the bits of the path
+        # `etalab ratio` keeps a window of the ratios and collects the events
+        # off each block's magnitudes, with the bits of the whole path
         s, num, den = case
         mags = np.abs(den[:n_max])
         threshold = float(np.sort(mags)[min(20, n_max - 1)])
         keep = min(n_max, 201)
-        tail, tail_mags, events = ratio_module._mirrored_pass(
-            s, n_max, keep, threshold, events=(threshold, n_max // 2)
+        events = []
+
+        def collect(lo, block):
+            events.extend(ratio_module._zero_events(block, lo, threshold, n_max // 2))
+
+        tail, tail_mags, skipped = sum_ratio_path(
+            s, n_max, threshold, n_from=n_max - keep + 1, on_block=collect
         )
         want = num[:n_max] / den[:n_max]
-        want[mags <= threshold] = np.nan
+        masked = mags <= threshold
+        want[masked] = np.nan
         _assert_same_bits(tail, want[-keep:])
         _assert_same_bits(tail_mags, mags[-keep:])
+        assert skipped == [int(i) + 1 for i in np.nonzero(masked)[0] if i >= n_max - keep]
         hits = np.nonzero(mags < threshold)[0]
         assert [e.n for e in events] == [int(i) + 1 for i in hits]
         _assert_same_bits([e.magnitude for e in events], mags[hits])
         assert [e.beyond_nesting for e in events] == [int(i) + 1 > n_max // 2 for i in hits]
+
+    @pytest.mark.parametrize("n_max", [1, 2, 65536, 65537, 131073, N])
+    @pytest.mark.parametrize("stride", [1, 7, 1000, 65536, 400000])
+    def test_strided_path(self, case, n_max, stride):
+        s, _, den = case
+        _assert_same_bits(partial_sum_path(s, n_max, stride), den[:n_max:stride])
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            partial_sum_path(0.3 + 80.0j, 10, stride)
 
     def test_non_finite_input_rejected(self):
         for s in (complex(math.nan, 1.0), complex(0.5, math.inf)):
