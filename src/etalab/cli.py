@@ -8,6 +8,9 @@ Common flags may also come from a flat key=value config file pointed to
 by the ETALAB_CONFIG environment variable; explicit flags win.  Output
 is byte-deterministic for a given configuration.  Scans run serially;
 --threads is accepted (and must be >= 1) for compatibility only.
+
+A call builds the parser of its own subcommand only; --help, a missing
+or an unknown subcommand builds all of them.
 """
 
 from __future__ import annotations
@@ -43,60 +46,39 @@ def _add_common(sub):
     sub.add_argument("--threads", type=int, default=None, help="accepted for compatibility; scans run serially")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="etalab", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("eta", help="evaluate eta(s) with a certified error bound")
+def _point_args(p):
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(handler=cmd_eta)
 
-    p = subs.add_parser("zeta", help="evaluate zeta(s) = eta(s)/(1 - 2^(1-s))")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(handler=cmd_zeta)
 
-    p = subs.add_parser("path-export", help="partial-sum path as CSV rows n,re,im")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
+def _path_export_args(p):
+    _point_args(p)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--stride", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(handler=cmd_path_export)
 
-    p = subs.add_parser("orbit", help="disk-nesting diagnostics and margin trace")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
+
+def _orbit_args(p):
+    _point_args(p)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--window", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(handler=cmd_orbit)
 
-    p = subs.add_parser("sandwich", help="remainder sandwich records beyond the start index")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--window", type=int, default=None)
+
+def _sandwich_args(p):
+    _orbit_args(p)
     p.add_argument("--n-max", type=int, default=1000, help="indices checked beyond the sandwich start")
     p.add_argument("--with-asymptotics", action="store_true", help="append leading-term cross-check columns")
-    _add_common(p)
-    p.set_defaults(handler=cmd_sandwich)
 
-    p = subs.add_parser("ratio", help="partial-sum ratio limit report (JSON)")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
+
+def _ratio_args(p):
+    _point_args(p)
     p.add_argument("--n-max", type=int, default=100000)
     p.add_argument(
         "--zero-threshold", type=float, default=ratios.ZERO_SUM_THRESHOLD,
         help="zero-sum detection threshold (loosen to ~1e-2 for points printed to few decimals)",
     )
-    _add_common(p)
-    p.set_defaults(handler=cmd_ratio)
 
-    p = subs.add_parser("scan", help="grid scans: conjecture bounds, monotonicity, extrema")
+
+def _scan_args(p):
     p.add_argument("--which", choices=("conjecture", "monotonicity", "extrema"), default="conjecture")
     p.add_argument("--grid-alpha-from", "--alpha-from", dest="grid_alpha_from", type=float, default=None)
     p.add_argument("--grid-alpha-to", "--alpha-to", dest="grid_alpha_to", type=float, default=None)
@@ -106,21 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-t-step", "--t-step", dest="grid_t_step", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None, help="single alpha (extrema scans, or a one-value alpha axis)")
     p.add_argument("--t", type=float, default=None, help="fixed t for monotonicity scans")
-    _add_common(p)
-    p.set_defaults(handler=cmd_scan)
 
-    p = subs.add_parser("verify-zeros", help="check |eta(1/2 + it)| over a zero table")
+
+def _verify_zeros_args(p):
     p.add_argument("--table", default=None, help="CSV file ordinal,t (default: embedded table)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_verify_zeros)
 
-    p = subs.add_parser("approx-deviation", help="deviation of the elementary bound approximations")
+
+def _approx_deviation_args(p):
     p.add_argument("--which", choices=("upper-approx", "lower-approx", "both"), default="both")
     p.add_argument("--step", type=float, default=1e-4, help="sigma grid step")
-    _add_common(p)
-    p.set_defaults(handler=cmd_approx_deviation)
-
-    return parser
 
 
 def _config(args) -> RunConfig:
@@ -433,23 +409,27 @@ def cmd_scan(args) -> int:
         def count_violations(rows) -> int:
             return 0
 
-    def compute() -> str:
+    def compute():
         rows, violations, skipped = table()
         config = _scan_config(cfg, which=args.which, **extra)
-        return _table(cfg, "scan", config, header, rows, violations=violations, skipped=skipped)
+        return _table(cfg, "scan", config, header, rows, violations=violations, skipped=skipped), rows
 
     params = {"command": "scan", "which": args.which, "precision": cfg.precision, **extra}
-    text = _cached_scan(cache, params, cfg.format, compute, verify_row)
+    text, rows = _cached_scan(cache, params, cfg.format, compute, verify_row)
     _deliver(text, cfg.out)
-    violations = count_violations(_rows(text, cfg.format))
+    violations = count_violations(rows)
     if violations:
         sys.stderr.write(f"scan violations: {violations}\n")
         return 1
     return 0
 
 
-def _cached_scan(cache, params, fmt, compute, verify_row) -> str:
-    """Serve scan output from the cache when one random row re-verifies."""
+def _cached_scan(cache, params, fmt, compute, verify_row):
+    """Scan output and its rows, served from the cache when one random row re-verifies.
+
+    ``compute()`` returns the text and the rows it rendered; a cache hit
+    parses its text once, for the spot check and for the caller.
+    """
     if cache is None:
         return compute()
     key = CacheStore.key(params)
@@ -458,11 +438,11 @@ def _cached_scan(cache, params, fmt, compute, verify_row) -> str:
         text = payload.decode()
         rows = _rows(text, fmt)
         if not rows or verify_row(rows[random.Random(key).randrange(len(rows))]):
-            return text
+            return text, rows
         sys.stderr.write("cache integrity check failed; recomputing\n")
-    text = compute()
+    text, rows = compute()
     cache.put(key, fmt, text.encode())
-    return text
+    return text, rows
 
 
 def cmd_verify_zeros(args) -> int:
@@ -494,9 +474,49 @@ def cmd_approx_deviation(args) -> int:
     return 1 if any(r.violations for r in reports) else 0
 
 
+# name -> (help, argument adder, handler), in the order --help lists them
+COMMANDS = {
+    "eta": ("evaluate eta(s) with a certified error bound", _point_args, cmd_eta),
+    "zeta": ("evaluate zeta(s) = eta(s)/(1 - 2^(1-s))", _point_args, cmd_zeta),
+    "path-export": ("partial-sum path as CSV rows n,re,im", _path_export_args, cmd_path_export),
+    "orbit": ("disk-nesting diagnostics and margin trace", _orbit_args, cmd_orbit),
+    "sandwich": ("remainder sandwich records beyond the start index", _sandwich_args, cmd_sandwich),
+    "ratio": ("partial-sum ratio limit report (JSON)", _ratio_args, cmd_ratio),
+    "scan": ("grid scans: conjecture bounds, monotonicity, extrema", _scan_args, cmd_scan),
+    "verify-zeros": ("check |eta(1/2 + it)| over a zero table", _verify_zeros_args, cmd_verify_zeros),
+    "approx-deviation": ("deviation of the elementary bound approximations",
+                         _approx_deviation_args, cmd_approx_deviation),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for one subcommand, or for all of them when ``command`` is None.
+
+    A one-subcommand parser parses that subcommand's command lines to the
+    same namespace, and prints the same help, usage and error messages,
+    as the whole tree: its subcommand metavar spells out every name.
+    """
+    # --help leaves out the docstring's last paragraph, which is about this
+    # parser (there is no docstring under python -OO)
+    description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    parser = argparse.ArgumentParser(prog="etalab", description=description)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_args, handler = COMMANDS[name]
+        p = subs.add_parser(name, help=help_text)
+        add_args(p)
+        _add_common(p)
+        p.set_defaults(handler=handler)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # help, a missing or an unknown subcommand needs the whole tree
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except (AccuracyUnreachable, DenominatorPole, PoleError, WindowExhausted, ZeroDenominator) as exc:

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 SCHEMAS = {
@@ -33,11 +34,35 @@ def format_number(x) -> str:
     return repr(float(x))
 
 
+_CSV_BLOCK_ROWS = 1024
+
+
+def _csv_column(values):
+    """The cells of one column, as ``format_number`` renders them (strings as they are)."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(repr, values))
+    if kinds == {int}:
+        return list(map(str, values))
+    if kinds == {str}:
+        return values
+    return [v if isinstance(v, str) else format_number(v) for v in values]
+
+
 def render_csv(header, rows) -> str:
-    """CSV text with a fixed header, LF endings and round-trip numbers."""
+    """CSV text with a fixed header, LF endings and round-trip numbers.
+
+    Rows are formatted in blocks of 1024, one column at a time: ``repr``
+    on an all-float column, ``str`` on an all-int column (bools excluded),
+    strings as they are, and ``format_number`` per cell on any other
+    column (mixed types, numpy scalars, bools).  Blocks keep the
+    intermediate cells small; every row must have the same length.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) if not isinstance(v, str) else v for v in row))
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+        # no name holds a block's cells, so they are freed before the final join
+        lines.extend(map(",".join, zip(*[_csv_column(c) for c in zip(*block, strict=True)])))
     return "\n".join(lines) + "\n"
 
 

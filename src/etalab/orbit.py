@@ -99,13 +99,15 @@ class RemainderBound:
 def angle_threshold(t: float) -> int:
     """Smallest integer >= 1/(e^(pi/2t) - 1); turn angles are acute beyond it.
 
-    t = 0 degenerates to 1 (all turn angles vanish).
+    It is 1 for t <= 1, where e^(pi/2t) - 1 > 1 (and would overflow for
+    t below about 0.0022); t = 0 degenerates to 1 too (all turn angles
+    vanish).
     """
     if t < 0:
         raise ValueError("angle_threshold is defined for t >= 0; conjugate first")
-    if t == 0.0:
+    if t <= 1.0:
         return 1
-    return max(1, math.ceil(1.0 / math.expm1(math.pi / (2.0 * t))))
+    return math.ceil(1.0 / math.expm1(math.pi / (2.0 * t)))
 
 
 class _Geometry(NamedTuple):

@@ -2,19 +2,82 @@
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from etalab import detect_zero_sums, partial_sum_path, sum_ratio_path
-from etalab.cli import main
+from etalab.cli import COMMANDS, build_parser, main
 from etalab.emitters import render_csv, validate_document
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+def run_exit(capsys, call):
+    """Exit code, stdout and stderr of a call that may end in SystemExit."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+class TestParser:
+    """A call builds only its subcommand's parser, with the whole tree's bytes."""
+
+    CASES = [
+        ["--help"], ["-h"], [], ["bogus"], ["bogus", "--sigma", "1"], ["--sigma", "1"],
+        *([name, "--help"] for name in COMMANDS),
+        ["eta"], ["path-export", "--sigma", "0.5"],            # missing required flag
+        ["scan", "--which", "nope"], ["approx-deviation", "--which", "x"],  # bad choice
+        ["eta", "--sigma", "abc"], ["orbit", "--sigma", "0.5", "--t", "x"],  # bad type
+        ["eta", "--sigma", "1", "--bogus"], ["eta", "--sigma", "1", "extra"],  # the top-level usage
+    ]
+
+    @pytest.fixture(autouse=True)
+    def pinned_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_same_bytes_as_the_whole_tree(self, capsys, argv):
+        got = run_exit(capsys, lambda: main(list(argv)))
+        expected = run_exit(capsys, lambda: build_parser().parse_args(list(argv)))
+        assert got == expected
+        assert got[0] == (0 if argv[-1:] in (["--help"], ["-h"]) else 2)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_named_call_builds_one_subparser(self, capsys, monkeypatch, name):
+        built = []
+        for key, (help_text, add_args, handler) in COMMANDS.items():
+            def recording(p, key=key, add_args=add_args):
+                built.append(key)
+                add_args(p)
+            monkeypatch.setitem(COMMANDS, key, (help_text, recording, handler))
+        run_exit(capsys, lambda: main([name, "--help"]))
+        assert built == [name]
+        built.clear()
+        run_exit(capsys, lambda: main(["--help"]))
+        assert built == list(COMMANDS)
+
+    def test_help_description_is_the_command_overview(self, capsys):
+        # the docstring's note on parser construction stays out of --help
+        _, out, _ = run_exit(capsys, lambda: main(["--help"]))
+        assert "for compatibility only. positional arguments:" in " ".join(out.split())
+
+    def test_parses_like_the_whole_tree(self):
+        argv = ["scan", "--which", "extrema", "--alpha", "0.25", "--t-from", "10", "--threads", "2"]
+        assert vars(build_parser("scan").parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
+        # the installed `etalab` script calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["etalab", "eta", "--sigma", "1", "--t", "0"])
+        code, out, _ = run_exit(capsys, main)
+        assert code == 0
+        assert out.splitlines()[0] == "0.6931471805599453"
 
 class TestEtaZeta:
     def test_eta_ln2(self, capsys):
@@ -311,6 +374,15 @@ class TestScanCommand:
         assert code == 1
         assert err == "scan violations: 45\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cached_violation_count(self, capsys, tmp_path, fmt):
+        # a cache hit counts the violations from the rows it re-served
+        argv = ["scan", "--which", "monotonicity", "--t", "1", "--alpha-step", "0.01",
+                "--format", fmt, "--cache-dir", str(tmp_path)]
+        cold = run(capsys, *argv)
+        assert cold[0] == 1 and cold[2] == "scan violations: 45\n"
+        assert run(capsys, *argv) == cold
+
     def test_scan_json_document(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--which", "conjecture", "--alpha", "0.2",
@@ -534,6 +606,31 @@ class TestInvalidInput:
             assert code == 2
             assert err == f"error: zero-sum threshold must be finite and positive, got {float(threshold)}\n"
             assert out == ""
+
+
+class TestSmallT:
+    """At 0 < |t| below about 0.0022 the angle threshold is 1, not an overflow."""
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--sigma", "0.5", "--t", "0.001"],
+        ["orbit", "--sigma", "0.5", "--t", "-0.001"],
+        ["sandwich", "--sigma", "0.5", "--t", "0.002"],
+        ["ratio", "--sigma", "0.3", "--t", "0.001", "--n-max", "10"],
+        ["ratio", "--sigma", "0.3", "--t", "1e-300", "--n-max", "1000"],
+        ["ratio", "--t", "1e-300"],
+    ], ids=" ".join)
+    def test_no_traceback(self, capsys, argv):
+        code, out, err = run_exit(capsys, lambda: main(argv))
+        assert code in (0, 2)
+        if code == 2:
+            assert "error:" in err.splitlines()[-1]
+        else:
+            assert out
+
+    def test_orbit_starts_at_one(self, capsys):
+        code, out, _ = run(capsys, "orbit", "--sigma", "0.5", "--t", "0.001")
+        assert code == 0
+        assert out.splitlines()[0] == "acute_start = 1"
 
 
 class TestConfigFile:

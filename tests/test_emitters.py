@@ -1,7 +1,10 @@
 """CSV/JSON rendering and the content-addressed cache."""
 
 import json
+import math
+import random
 
+import numpy as np
 import pytest
 
 from etalab.emitters import (
@@ -30,6 +33,64 @@ class TestFormatting:
         assert lines[1] == "1,1.0,0.0"
         assert text.endswith("\n")
         assert "\r" not in text
+
+
+def _render_csv_rowwise(header, rows) -> str:
+    """The row-at-a-time rendering that ``render_csv`` must reproduce."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format_number(v) if not isinstance(v, str) else v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_KINDS = ("bool", "int", "np.int64", "float", "np.float64", "str")
+_SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308)
+
+
+def _cell(kind: str, rng: random.Random):
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "int":
+        return rng.randrange(-10**12, 10**12)
+    if kind == "np.int64":
+        return np.int64(rng.randrange(-2**63, 2**63))
+    if kind in ("float", "np.float64"):
+        x = rng.choice(_SPECIAL_FLOATS) if rng.random() < 0.1 else rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-300, 300)
+        return x if kind == "float" else np.float64(x)
+    if kind == "str":
+        return rng.choice(("true", "false", "min", "max", "", "x y"))
+    return _cell(rng.choice(_KINDS), rng)  # "mixed": the type changes from row to row
+
+
+class TestRenderCsvColumns:
+    """Block-wise, column-wise rendering gives the bytes of the row-wise loop."""
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_rowwise(self, n_rows, seed):
+        rng = random.Random(f"csv:{n_rows}:{seed}")
+        kinds = [*_KINDS, "mixed", "mixed", *rng.sample(_KINDS, 3)]
+        header = [f"c{i}" for i in range(len(kinds))]
+        rows = [tuple(_cell(k, rng) for k in kinds) for _ in range(n_rows)]
+        expected = _render_csv_rowwise(header, rows)
+        assert render_csv(header, rows) == expected
+        assert render_csv(header, iter(rows)) == expected  # rows may be a one-shot iterator
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_column_changes_type_at_a_block_edge(self, kind):
+        # the first block is all one type, the second starts with another
+        rng = random.Random(kind)
+        rows = [(_cell(kind, rng),) for _ in range(1024)]
+        rows += [(_cell(other, rng),) for other in _KINDS for _ in range(3)]
+        assert render_csv(("v",), rows) == _render_csv_rowwise(("v",), rows)
+
+    def test_special_floats(self):
+        rows = [(x, np.float64(x), str(x)) for x in _SPECIAL_FLOATS]
+        assert render_csv(("a", "b", "c"), rows) == _render_csv_rowwise(("a", "b", "c"), rows)
+
+    def test_ragged_rows_refused(self):
+        with pytest.raises(ValueError):
+            render_csv(("a", "b"), [(1, 2.0), (3,)])
 
 
 class TestJsonDocuments:

@@ -31,6 +31,15 @@ class TestAngleThreshold:
     def test_values(self, t, expected):
         assert angle_threshold(t) == expected
 
+    @pytest.mark.parametrize("t", [5e-324, 1e-300, 1e-3, 0.002, 0.0022, 0.0023, 0.5, 1.0])
+    def test_one_for_small_t(self, t):
+        # e^(pi/2t) - 1 overflows a double for t below about 0.0022
+        assert angle_threshold(t) == 1
+
+    def test_closed_form_beyond_one(self):
+        for t in (1.0000001, 1.5, 2.26, 2.27, 3.0, 20.0, 199.9):
+            assert angle_threshold(t) == max(1, math.ceil(1.0 / math.expm1(math.pi / (2.0 * t))))
+
     def test_nondecreasing_in_t(self):
         ts = np.linspace(0.0, 200.0, 800)
         vals = [angle_threshold(float(t)) for t in ts]
