@@ -274,13 +274,20 @@ def two_power_alpha_derivative(alpha: float, t: float, step: float = 1e-6) -> fl
     ) / (2.0 * step)
 
 
+def _oracle_pair(sigmas, t: float, target_error: float):
+    """eta and zeta at sigma + i t for the two sigmas, from one oracle pass."""
+    values, bounds = oracle.eta_many(sigmas, t, target_error)
+    etas = list(map(oracle.OracleValue, values.tolist(), bounds.tolist()))
+    zetas = [oracle._zeta_from_eta(complex(sigma, t), e) for sigma, e in zip(sigmas, etas)]
+    return etas, zetas
+
+
 def zeta_modulus_ratio(alpha: float, t: float, target_error: float = oracle.TARGET_FLOOR) -> float:
     """|zeta(1/2 - alpha + it)| / |zeta(1/2 + alpha + it)|.
 
     Monotone increasing in alpha for t >= 2 pi + 1 (Saidak-Zvengrowski).
     """
-    num = oracle.zeta(complex(0.5 - alpha, t), target_error)
-    den = oracle.zeta(complex(0.5 + alpha, t), target_error)
+    _, (num, den) = _oracle_pair([0.5 - alpha, 0.5 + alpha], t, target_error)
     if den.zero_indistinguishable:
         raise ZeroDenominator(abs(den.value))
     return abs(num.value) / abs(den.value)
@@ -295,11 +302,12 @@ def sz_relation_deviation(
             = |1 - 2^(1/2-a+it)| / |1 - 2^(1/2+a-it)| / a(alpha, t)
 
     with a(alpha, t) the ratio of zeta moduli from zeta_modulus_ratio.
+    Both sides come from one oracle pass at the two points.
     """
-    values, bounds = oracle.eta_many([0.5 + alpha, 0.5 - alpha], t, target_error)
-    (num, den), den_bound = values.tolist(), float(bounds[1])
-    if oracle.OracleValue(den, den_bound).zero_indistinguishable:
-        raise ZeroDenominator(abs(den))
-    lhs = abs(num) / abs(den)
-    rhs = two_power_alpha_ratio(alpha, t) / zeta_modulus_ratio(alpha, t, target_error)
+    (num, den), (zeta_num, zeta_den) = _oracle_pair([0.5 + alpha, 0.5 - alpha], t, target_error)
+    for value in (den, zeta_num):  # the denominators of the two sides
+        if value.zero_indistinguishable:
+            raise ZeroDenominator(abs(value.value))
+    lhs = abs(num.value) / abs(den.value)
+    rhs = two_power_alpha_ratio(alpha, t) * abs(zeta_num.value) / abs(zeta_den.value)
     return abs(lhs - rhs)

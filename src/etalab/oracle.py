@@ -17,9 +17,12 @@ the 1e-13 target floor on sigma in (0,1), |t| <= 200.  Values with
 
 Every evaluation is batched: :func:`eta_many` takes arrays of sigmas
 and ts, and :func:`eta` is its one-point case.  Points are grouped by
-term count; within a group, each row of points with one |t| shares
-ln k, cos(t ln k) and sin(t ln k), and rows with the same sigmas share
-exp(-sigma ln k).  A value and its bound do not depend on the batch
+term count; within a group, each row of points with one |t| shares the
+phases e^(-i |t| ln k), which call libm at odd k only and take the
+phase at k = 2m as e^(-i |t| ln 2) times the one at m.  Rows with the
+same sigmas share the weighted moduli w_k k^(-sigma), and a block's
+real and imaginary sums are two real longdouble contractions of the
+phases with them.  A value and its bound do not depend on the batch
 they came in, and working memory stays under fixed block sizes.
 """
 
@@ -166,12 +169,37 @@ def _log_gamma_ratio(sig, t_abs):
     return 0.5 * (1.0 - sig) * f + t * np.arctan2(t, sig)
 
 
-def _pass(sig, t_abs, n: int, ln):
-    """Sums of n accelerated terms and their amplitudes, one reduction per block.
+def _phases(t_abs, ln):
+    """e^(-i |t| ln k) for k = 1 .. n, a row per |t|, in complex longdouble.
 
-    Per block (see _blocks), cos and sin(-|t| ln k) are computed once
-    per row, and exp(-sigma ln k) once per sigma of the first row, kept
-    while the sigmas repeat; the two combine by broadcasting.
+    libm runs at odd k only (cexp, one call for cos and sin).  The phase
+    at k = 2m is the one at m times e^(-i |t| ln 2); every k = 2^j m, m
+    odd, gets its j products at once through strided slices, with j = 1,
+    2, ... in turn.
+    """
+    t = (-t_abs).astype(_LD)[:, None]
+    phase = np.empty((t.shape[0], ln.size), dtype=np.clongdouble)
+    odd = phase[:, ::2]
+    odd.real = 0.0
+    np.multiply(t, ln[::2], out=odd.imag)
+    np.exp(odd, out=odd)
+    two = np.exp(1j * (t * ln[1:2]))
+    step = 2
+    while step <= ln.size:  # k = step * odd, from k / 2
+        even = phase[:, step - 1 :: 2 * step]
+        np.multiply(two, phase[:, step // 2 - 1 :: step][:, : even.shape[1]], out=even)
+        step *= 2
+    return phase
+
+
+def _pass(sig, t_abs, n: int, ln):
+    """Sums of n accelerated terms and their amplitudes, two contractions per block.
+
+    Per block (see _blocks), the phases of each row come from _phases,
+    and the weighted moduli w_k k^(-sigma) once per sigma of the first
+    row, kept while the sigmas repeat, with their amplitude sum |w_k
+    k^(-sigma)| / d.  The real and imaginary parts are two real
+    longdouble dot products, each a plain running sum over k.
     """
     w, d = _acceleration_weights(n)
     value = np.empty(sig.size, dtype=np.complex128)
@@ -181,13 +209,12 @@ def _pass(sig, t_abs, n: int, ln):
         hi = lo + rows * width
         if pattern is None or not np.array_equal(sig[lo : lo + width], pattern):
             pattern = sig[lo : lo + width]
-            mag = np.exp((-pattern).astype(_LD)[:, None] * ln)
-        theta = (-t_abs[lo:hi:width]).astype(_LD)[:, None, None] * ln
-        prod = 1j * (mag * np.sin(theta))  # w * (mag cos + 1j mag sin), in place
-        prod += mag * np.cos(theta)
-        prod *= w
-        value[lo:hi] = (prod.sum(axis=-1) / d).ravel()
-        amp[lo:hi] = (np.abs(prod).sum(axis=-1) / d).ravel()
+            wm = np.exp((-pattern).astype(_LD)[:, None] * ln) * w
+            scale = np.abs(wm).sum(axis=-1) / d
+        phase = _phases(t_abs[lo:hi:width], ln)
+        value.real[lo:hi] = (np.dot(phase.real, wm.T) / d).ravel()
+        value.imag[lo:hi] = (np.dot(phase.imag, wm.T) / d).ravel()
+        amp[lo:hi].reshape(rows, width)[...] = scale
     return value, amp
 
 
@@ -202,6 +229,18 @@ def _certify(sig, t, target_error: float, max_terms: int):
     T(up - 1) decides.  Raises AccuracyUnreachable for the first point
     whose count exceeds max_terms (it is never summed) or whose bound
     exceeds the target.
+
+    The rounding floor is 1e-15 (1 + |value|), for the rounding to
+    double, plus eps amp (4 + 2 |t| ln n + 2 n), with eps the longdouble
+    epsilon and amp = sum |w_k k^(-sigma)| / d, which equals sum |w_k
+    a_k| / d in exact arithmetic as |phase| = 1.  A libm phase (odd k)
+    is off by at most eps (|t| ln k + 1): ln k and its product with |t|
+    are rounded, then cexp.  An even k = 2^j m, m odd, takes j <= log2 n
+    products with e^(-i |t| ln 2), each adding at most eps (|t| ln 2 +
+    2.5) with that factor's own error, so its phase is off by at most
+    eps (|t| ln k + 2.5 log2 k + 1).  The floor's 2 |t| ln n covers the
+    |t| ln k part as before, and its 2 n, which exceeds the two running
+    sums' n / 2 each by n >= 2.5 log2 n - 3, covers the 2.5 log2 n more.
     """
     t_abs = np.abs(t)
     n = np.ceil(1.31 * -math.log10(target_error) + 0.9 * t_abs) + 4.0
@@ -277,16 +316,39 @@ def _pole_distance(s: complex) -> float:
     return math.hypot(s.real - 1.0, s.imag - k * _POLE_SPACING)
 
 
+def _zeta_from_eta(s: complex, e: OracleValue) -> OracleValue:
+    """zeta(s) = eta(s) / D, D = 1 - 2^(1-s), from a certified eta(s).
+
+    D = 1 - 2^(1-sigma) e^(-i |t| ln 2) is taken in longdouble (and
+    conjugated for t < 0), then rounded to double.  Its error B_D is at
+    most 2 eps_ld (m (|t| ln 2 + |1 - sigma| + 3) + |D|) + eps |D|, m =
+    2^(1-sigma): the rounded argument |t| ln 2, exp2 and its rounded
+    exponent, cos, sin, and the products, subtraction and final
+    rounding.  As eta/D - e/D' = (eta - e)/D + e (D' - D)/(D D'), the
+    value misses zeta by at most (B_eta + |e| B_D / |D'|) / (|D'| - B_D),
+    plus 4 eps |value| for the division in double.  s must lie off the
+    zeros of D (see zeta).
+    """
+    t_abs = abs(s.imag)
+    m = np.exp2(1.0 - _LD(s.real))
+    theta = _LD(t_abs) * np.log(_LD(2.0))
+    im = float(m * np.sin(theta))
+    # 0.0 - im: a zero imaginary part stays +0.0 at t < 0, as in 1 - 2^(1-s)
+    denom = complex(float(1.0 - m * np.cos(theta)), 0.0 - im if s.imag < 0 else im)
+    size = abs(denom)
+    err = 2.0 * _EPS_ACC * (float(m) * (t_abs * math.log(2.0) + abs(1.0 - s.real) + 3.0) + size)
+    err += _EPS64 * size  # B_D
+    value = e.value / denom
+    bound = (e.abs_error_bound + abs(e.value) * err / size) / (size - err) + 4.0 * _EPS64 * abs(value)
+    return OracleValue(value, bound)
+
+
 def zeta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleValue:
     """zeta(s) = eta(s) / (1 - 2^(1-s)) with a propagated error bound."""
     s = as_complex(s)
     if _pole_distance(s) < 1e-9:
         raise DenominatorPole(f"s = {s} is within 1e-9 of a zero of 1 - 2^(1-s)")
-    e = eta(s, target_error, max_terms)
-    denom = 1.0 - 2.0 ** (1.0 - s)
-    value = e.value / denom
-    bound = (e.abs_error_bound + 4.0 * _EPS64 * (abs(e.value) + abs(value))) / abs(denom)
-    return OracleValue(value, bound)
+    return _zeta_from_eta(s, eta(s, target_error, max_terms))
 
 
 def remainder(n: int, s, target_error: float = TARGET_FLOOR) -> RemainderRecord:

@@ -343,7 +343,7 @@ def sandwich_report(
     if n_to < n_from:
         raise ValueError("empty range")
     eta_value = oracle.eta(s, target_error).value
-    sums = partial_sum_path(s, n_to)[n_from - 1 :]
+    sums = partial_sum_path(s, n_to, n_from=n_from)
     n = np.arange(n_from, n_to + 1, dtype=np.float64)
     measured = np.abs(eta_value - sums)
     lower = (1.0 - epsilon) / (2.0 * n**s.real)

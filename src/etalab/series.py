@@ -11,8 +11,9 @@ Every partial sum in the package comes from one blockwise kernel,
 lockstep; the mirrored ratios use it with the pair (1 - sigma, sigma).
 It works a block of 65536 indices at a time, so a consumer that reads
 each block as it comes needs memory for a few blocks, not for the whole
-path: :func:`partial_sum_path` keeps only every stride-th sum, and the
-mirrored ratio pass only the window of ratios it is asked for.
+path: :func:`partial_sum_path` keeps only every stride-th sum from a first
+index on, and the mirrored ratio pass only the window of ratios it is
+asked for.
 
 Negative t is evaluated at |t| and conjugated, which makes conjugate
 symmetry of all outputs exact rather than approximate.
@@ -138,23 +139,27 @@ def partial_sum(n: int, s) -> complex:
     return totals[0]
 
 
-def partial_sum_path(s, n_max: int, stride: int = 1) -> np.ndarray:
-    """Array of S_n for n = 1, 1 + stride, 1 + 2 stride, ... <= n_max.
+def partial_sum_path(s, n_max: int, stride: int = 1, n_from: int = 1) -> np.ndarray:
+    """Array of S_n for n = n_from, n_from + stride, n_from + 2 stride, ... <= n_max.
 
     Every index up to n_max is summed, a kernel block at a time, but only
-    every stride-th sum is kept: memory is 16 bytes per kept index plus
-    a few blocks, so a strided export never holds the whole path.
+    every stride-th sum from n_from on is kept: memory is 16 bytes per
+    kept index plus a few blocks, so a strided export or a late window
+    never holds the whole path.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_from <= n_max:
+        raise ValueError(f"need 1 <= n_from <= n_max, got n_from = {n_from}, n_max = {n_max}")
     s = as_complex(s)
-    path = np.empty(len(range(1, n_max + 1, stride)), dtype=np.complex128)
+    path = np.empty(len(range(n_from, n_max + 1, stride)), dtype=np.complex128)
     for lo, _, (sums,), _ in _sum_blocks((s.real,), s.imag, n_max):
-        first = (1 - lo) % stride  # offset of the block's first kept index
+        start = max(lo, n_from)
+        first = start - lo + (n_from - start) % stride  # offset of the block's first kept index
         kept = sums[first::stride]
-        at = (lo + first - 1) // stride
+        at = (lo + first - n_from) // stride
         path[at : at + kept.size] = kept
     return path
 

@@ -121,6 +121,14 @@ class TestEtaZeta:
         code, _, err = run(capsys, "zeta", "--sigma", "1", "--t", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("t", ["0", "-0.0"])
+    def test_signs_of_zero_at_t_zero(self, capsys, t):
+        # the real axis keeps eta's imaginary part +0.0 and zeta's -0.0
+        for command, im in (("eta", "0.0"), ("zeta", "-0.0")):
+            code, out, _ = run(capsys, command, "--sigma", "0.5", "--t", t, "--format", "json")
+            assert code == 0
+            assert f'"im": {im},' in out
+
     def test_zeta_value(self, capsys):
         code, out, _ = run(capsys, "zeta", "--sigma", "2", "--t", "0")
         assert code == 0

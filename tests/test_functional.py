@@ -25,8 +25,10 @@ from etalab import (
     two_power_alpha_derivative,
     two_power_alpha_ratio,
     two_power_factor,
+    zeta,
     zeta_modulus_ratio,
 )
+from etalab import oracle
 
 TWO_PI_LN2 = 2.0 * math.pi / math.log(2.0)
 
@@ -239,6 +241,30 @@ class TestSzRelation:
         t = 40.0
         vals = [zeta_modulus_ratio(a, t) for a in (0.05, 0.15, 0.25, 0.35, 0.45)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_one_oracle_pass(self, monkeypatch):
+        # both sides come from one eta_many call at the two points; the
+        # zeta moduli are that pass's etas over 1 - 2^(1-s)
+        calls = []
+        eta_many = oracle.eta_many
+
+        def counting(sigmas, ts, *args):
+            calls.append((list(sigmas), ts))
+            return eta_many(sigmas, ts, *args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second oracle pass")
+
+        want = sz_relation_deviation(0.25, 30.0)
+        monkeypatch.setattr(oracle, "eta_many", counting)
+        monkeypatch.setattr(oracle, "eta", refuse)
+        monkeypatch.setattr(oracle, "zeta", refuse)
+        assert sz_relation_deviation(0.25, 30.0) == want
+        assert calls == [([0.75, 0.25], 30.0)]
+        ratio = zeta_modulus_ratio(0.25, 30.0)
+        assert calls[1:] == [([0.25, 0.75], 30.0)]
+        monkeypatch.undo()
+        assert ratio == abs(zeta(0.25 + 30.0j).value) / abs(zeta(0.75 + 30.0j).value)
 
     def test_near_zero_denominator_raises(self):
         # at the machine-accurate first-zero ordinate eta(1/2 + it) is

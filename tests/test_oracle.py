@@ -11,7 +11,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from etalab import (
     AccuracyUnreachable,
@@ -135,7 +135,9 @@ class TestZeta:
             s = complex(rng.uniform(0.05, 0.95), rng.uniform(0.5, 100.0))
             e = eta(s)
             z = zeta(s)
-            denom = 1.0 - 2.0 ** (1.0 - s)
+            # 1 - 2^(1-s) in double is off by about |t| ln 2 eps; take it exact
+            with mpmath.workdps(30):
+                denom = complex(1 - mpmath.power(2, 1 - mpmath.mpc(s.real, s.imag)))
             gap = abs(z.value * denom - e.value)
             assert gap <= z.abs_error_bound * abs(denom) + e.abs_error_bound + 1e-15
 
@@ -234,17 +236,95 @@ class TestBoundAgainstMpmath:
         assert ell[2] == ell[3] == 0.0
 
 
-# The per-point oracle, written out apart from eta_many: one pass at
-# ceil(1.2 n) + 8 terms, raised by a plain search where the a-priori tail
-# needs more.  The batched oracle must reproduce it bit for bit.
+def _exact(x) -> mpmath.mpf:
+    """A longdouble as an exact mpf: its double part plus the rest."""
+    hi = float(x)
+    return mpmath.mpf(hi) + mpmath.mpf(float(x - np.longdouble(hi)))
+
+
+class TestPhaseRecurrence:
+    """Phases built from e^(-i |t| ln 2) stay within the model of _certify."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(t=st.floats(0.0, 200.0))
+    def test_within_the_documented_model(self, t):
+        n = 400
+        phase = oracle._phases(np.array([t]), np.log(np.arange(1, n + 1, dtype=np.longdouble)))[0]
+        with mpmath.workdps(30):
+            for k in range(1, n + 1):
+                exact = mpmath.expj(-mpmath.mpf(t) * mpmath.log(k))
+                err = abs(mpmath.mpc(_exact(phase[k - 1].real), _exact(phase[k - 1].imag)) - exact)
+                assert err <= oracle._EPS_ACC * (t * math.log(k) + 2.5 * math.log2(k) + 1.0)
+
+
+def _mp_zeta(s: complex) -> complex:
+    with mpmath.workdps(40):
+        return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+
+
+class TestZetaAgainstMpmath:
+    """|value - zeta| <= bound, with 1 - 2^(1-s) taken in extended precision."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        log_sigma=st.floats(-12.0, 0.0),
+        t=st.floats(-200.0, 200.0),
+        log_target=st.floats(-13.0, -6.0),
+    )
+    def test_bound_holds_on_the_strip(self, log_sigma, t, log_target):
+        s = complex(10.0**log_sigma, t)
+        assume(oracle._pole_distance(s) >= 1e-9)  # zeta raises DenominatorPole there
+        z = zeta(s, 10.0**log_target)
+        assert abs(z.value - _mp_zeta(s)) <= z.abs_error_bound
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(-22, 22),
+        log_r=st.floats(-8.0, -2.0),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        log_target=st.floats(-13.0, -6.0),
+    )
+    def test_bound_holds_next_to_the_zeros_of_the_denominator(self, k, log_r, angle, log_target):
+        # 1e-8 to 1e-2 from 1 + 2 pi i k / ln 2, where 1 - 2^(1-s) vanishes
+        zero = complex(1.0, 2.0 * math.pi * k / math.log(2.0))
+        s = zero + 10.0**log_r * complex(math.cos(angle), math.sin(angle))
+        z = zeta(s, 10.0**log_target)
+        assert abs(z.value - _mp_zeta(s)) <= z.abs_error_bound
+
+    def test_worst_points_of_the_double_denominator(self):
+        # with 1 - 2^(1-s) in double, these missed their bounds by 5.2x and 6x
+        for s in (0.5103661699115636 + 199.40357815031058j, 1.01 + 190.35912595674216j):
+            for target in (1e-13, 1e-9):
+                z = zeta(s, target)
+                assert abs(z.value - _mp_zeta(s)) <= z.abs_error_bound
+
+
+# The per-point oracle, written out apart from eta_many as a scalar loop
+# over k: one pass at ceil(1.2 n) + 8 terms, raised by a plain search where
+# the a-priori tail needs more.  The phase is cos and sin at odd k and the
+# phase at k / 2 times the one at 2 at even k; the weighted modulus
+# w_k k^(-sigma) sets the amplitude.  The batched oracle must reproduce it
+# bit for bit.
 def _ref_pass(sigma: float, t_abs: float, n: int):
+    ld = np.longdouble
     w, d = oracle._acceleration_weights(n)
-    k = np.arange(1, n + 1, dtype=np.longdouble)
-    ln = np.log(k)
-    mag = np.exp(np.longdouble(-sigma) * ln)
-    theta = np.longdouble(-t_abs) * ln
-    prod = w * (mag * np.cos(theta) + 1j * (mag * np.sin(theta)))
-    return complex(prod.sum() / d), float(np.abs(prod).sum() / d)
+    theta2 = ld(-t_abs) * np.log(ld(2.0))
+    c2, s2 = np.cos(theta2), np.sin(theta2)
+    phases, wm = [], []
+    re = im = ld(0.0)
+    for k in range(1, n + 1):
+        ln = np.log(ld(k))
+        if k % 2:
+            c, s = np.cos(ld(-t_abs) * ln), np.sin(ld(-t_abs) * ln)
+        else:
+            hc, hs = phases[k // 2 - 1]
+            c, s = c2 * hc - s2 * hs, s2 * hc + c2 * hs
+        phases.append((c, s))
+        wm.append(np.exp(ld(-sigma) * ln) * w[k - 1])
+        re += c * wm[-1]
+        im += s * wm[-1]
+    amp = np.abs(np.array(wm, dtype=ld)).sum() / d
+    return complex(float(re / d), float(im / d)), float(amp)
 
 
 def _ref_log_gamma_ratio(sigma: float, t_abs: float):

@@ -206,6 +206,17 @@ class TestSandwich:
         for rec in report:
             assert abs(rec.measured - abs(reference - path[rec.n - 1])) < 1e-15
 
+    def test_window_is_the_whole_path_tail(self):
+        # the window is streamed from the kernel with the whole path's bits
+        s = 0.3 + 80.0j
+        diag = orbit_diagnostics(s, 0.5)
+        n_from = diag.sandwich_start + 65000  # the window straddles a kernel block
+        report = sandwich_report(s, 0.5, n_from, n_from + 1000, diagnostics=diag)
+        reference = eta(s).value
+        path = partial_sum_path(s, n_from + 1000)
+        assert [rec.n for rec in report] == list(range(n_from, n_from + 1001))
+        assert [rec.measured for rec in report] == np.abs(reference - path[n_from - 1 :]).tolist()
+
     def test_rejects_early_start(self):
         with pytest.raises(ValueError):
             sandwich_report(0.5 + 20.0j, 0.5, 100, 200)

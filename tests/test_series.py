@@ -344,6 +344,18 @@ class TestKernelMatchesReference:
         s, _, den = case
         _assert_same_bits(partial_sum_path(s, n_max, stride), den[:n_max:stride])
 
+    @pytest.mark.parametrize("n_from", [1, 2, 65536, 65537, 65538, 299999, N])
+    @pytest.mark.parametrize("stride", [1, 3, 65536])
+    def test_windowed_path(self, case, n_from, stride):
+        # the sandwich's window: the path from n_from on, never held from 1
+        s, _, den = case
+        _assert_same_bits(partial_sum_path(s, self.N, stride, n_from), den[n_from - 1 :: stride])
+
+    @pytest.mark.parametrize("n_from", [0, -1, 11])
+    def test_window_outside_the_path_rejected(self, n_from):
+        with pytest.raises(ValueError, match="need 1 <= n_from <= n_max"):
+            partial_sum_path(0.3 + 80.0j, 10, n_from=n_from)
+
     @pytest.mark.parametrize("stride", [0, -3])
     def test_stride_below_one_rejected(self, stride):
         with pytest.raises(ValueError, match="stride must be >= 1"):
