@@ -19,16 +19,11 @@ from .errors import (
     WindowExhausted,
     ZeroDenominator,
 )
-from .points import StripPoint, as_complex, from_alpha
 from .series import (
     Segment,
-    SeriesState,
-    eta_term,
-    iter_partial_sums,
     partial_sum,
     partial_sum_path,
     segment,
-    segment_angle,
     turn_angle,
 )
 from .oracle import (
@@ -37,23 +32,17 @@ from .oracle import (
     eta,
     eta_many,
     remainder,
-    self_check,
     zeta,
 )
 from .orbit import (
-    AngleTriple,
-    DiskPair,
     OrbitDiagnostics,
     RemainderBound,
     angle_threshold,
     containment_start,
-    disk_pair,
-    disks_nested,
     nesting_margin,
     nesting_start,
     orbit_diagnostics,
     sandwich_report,
-    turn_angles,
 )
 from .functional import (
     ApproxDeviationReport,
@@ -75,16 +64,11 @@ from .functional import (
 from .ratios import (
     EnvelopeReport,
     LimitEstimate,
-    RatioSample,
     ZeroSumEvent,
-    alpha_fd_slope,
-    alpha_sign_changes,
     detect_zero_sums,
     envelope_diagnostics,
     limit_estimate,
-    sum_ratio,
     sum_ratio_path,
-    vertex_distance,
 )
 from .scans import (
     BoundCheckRecord,

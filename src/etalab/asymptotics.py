@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .points import as_complex
 from . import orbit
 
 
@@ -39,7 +38,7 @@ def _record(n, s, scale: float | None) -> AsymptoticRecord:
     arr = np.asarray(n, dtype=np.float64)
     p2_inv = 2.0 * g.r2 / g.p1  # (n+2)^(-sigma)
     exact = g.bracket * (2.0 * (g.r2 + g.rgap) / g.p1) * p2_inv
-    base = as_complex(s).real ** 2 / (arr * (arr + 1.0))
+    base = complex(s).real ** 2 / (arr * (arr + 1.0))
     if scale is None:
         leading = base / g.p1 * p2_inv
     else:

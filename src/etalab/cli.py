@@ -180,9 +180,9 @@ def cmd_zeta(args) -> int:
 
 def cmd_path_export(args) -> int:
     cfg = _config(args)
-    if args.n_max > 10**7:
-        raise ValueError("n-max must be <= 1e7")
     s = complex(args.sigma, args.t)
+    ratios._check_ceiling(args.n_max)
+    oracle._validate(s.real, s.imag, oracle.TARGET_FLOOR)
     path = partial_sum_path(s, args.n_max, args.stride)
     rows = zip(range(1, args.n_max + 1, args.stride), path.real.tolist(), path.imag.tolist())
     config = {"sigma": s.real, "t": s.imag, "n_max": args.n_max, "stride": args.stride}

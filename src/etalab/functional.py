@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError, ZeroDenominator
-from .points import as_complex
 from . import oracle
 
 TWO_PI_OVER_LN2 = 2.0 * math.pi / math.log(2.0)
@@ -67,7 +66,7 @@ def gamma(s) -> complex:
     leaves double range (real part beyond ~171); use log_abs_gamma for
     moduli out there.
     """
-    z = as_complex(s)
+    z = complex(s)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PoleError(f"Gamma pole at {z.real:g}")
     if z.real < 0.5:
@@ -82,7 +81,7 @@ def gamma(s) -> complex:
 
 def log_abs_gamma(s) -> float:
     """ln|Gamma(s)|, stable at heights where Gamma itself underflows."""
-    z = as_complex(s)
+    z = complex(s)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PoleError(f"Gamma pole at {z.real:g}")
     if z.real < 0.5:
@@ -132,13 +131,13 @@ def two_power_factor(s) -> complex:
     the Re(s) = 0 line), so the factor is nonzero throughout the open
     strip interior.
     """
-    z = as_complex(s)
+    z = complex(s)
     return (1.0 - 2.0**z) / (1.0 - 2.0 ** (1.0 - z))
 
 
 def functional_ratio(s) -> FunctionalRatio:
     """P(s) as the product of its four factors, for 0 < Re(s) < 1 and |t| <= 200."""
-    z = as_complex(s)
+    z = complex(s)
     if not (0.0 < z.real < 1.0):
         raise ValueError(f"functional ratio needs 0 < Re(s) < 1, got {z.real}")
     oracle._validate(z.real, z.imag, oracle.TARGET_FLOOR)  # |t| <= 200 keeps the factors in range
@@ -151,7 +150,7 @@ def functional_ratio(s) -> FunctionalRatio:
 
 def functional_ratio_modulus(s) -> float:
     """|P(s)| assembled in log space; finite at any finite height."""
-    z = as_complex(s)
+    z = complex(s)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"functional ratio needs finite s, got {z}")
     log_mod = (

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyUnreachable, DenominatorPole
-from .points import as_complex
 from .series import partial_sum
 
 TARGET_FLOOR = 1e-13
@@ -302,7 +301,7 @@ def eta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleVa
     when the bound cannot reach target_error within max_terms
     acceleration terms.
     """
-    s = as_complex(s)
+    s = complex(s)
     value, bound = eta_many(s.real, s.imag, target_error, max_terms)
     return OracleValue(complex(value), float(bound))
 
@@ -345,7 +344,7 @@ def _zeta_from_eta(s: complex, e: OracleValue) -> OracleValue:
 
 def zeta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleValue:
     """zeta(s) = eta(s) / (1 - 2^(1-s)) with a propagated error bound."""
-    s = as_complex(s)
+    s = complex(s)
     if _pole_distance(s) < 1e-9:
         raise DenominatorPole(f"s = {s} is within 1e-9 of a zero of 1 - 2^(1-s)")
     return _zeta_from_eta(s, eta(s, target_error, max_terms))
@@ -358,25 +357,3 @@ def remainder(n: int, s, target_error: float = TARGET_FLOOR) -> RemainderRecord:
     value = eta(s, target_error).value - partial_sum(n, s)
     return RemainderRecord(n, value, abs(value))
 
-
-def self_check(t_values=(0.0, 5.0, 17.5, 37.0, 50.0), n_direct: int = 2_000_000) -> float:
-    """Empirical cross-check of the a-priori bound against direct summation.
-
-    At sigma = 1 the direct sum S_n is within n^(-1) of eta (alternating
-    series with decreasing moduli), so |accelerated - S_n| must stay
-    below bound + n^(-1).  Returns the worst observed slack fraction;
-    raises AccuracyUnreachable if any point violates its certificate.
-    """
-    worst = 0.0
-    for t in t_values:
-        s = complex(1.0, t)
-        ov = eta(s)
-        observed = abs(ov.value - partial_sum(n_direct, s))
-        allowed = ov.abs_error_bound + 1.0 / n_direct
-        if observed > allowed:
-            raise AccuracyUnreachable(
-                f"certificate failed at s = {s}: |accelerated - direct| = "
-                f"{observed:.3e} > bound + tail = {allowed:.3e}"
-            )
-        worst = max(worst, observed / allowed)
-    return worst

@@ -40,35 +40,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AngleTooLarge, WindowExhausted
-from .points import as_complex
 from .series import partial_sum_path
 from . import oracle
 
 DEFAULT_WINDOW = 1000
 DEFAULT_CEILING = 10**7
 _SCAN_BLOCK = 1 << 12  # indices per kernel call; its temporaries stay in cache
-
-
-@dataclass(frozen=True)
-class AngleTriple:
-    """Turn angles at segments n+1 and n+2 and their sum."""
-
-    delta1: float
-    delta2: float
-    beta: float
-
-
-@dataclass(frozen=True)
-class DiskPair:
-    """Disks built on segments n and n+2, in the frame of segment n."""
-
-    n: int
-    center_n: complex
-    center_n2: complex
-    radius_n: float
-    radius_n2: float
-    center_dist_sq: float
-    radius_diff_sq: float
 
 
 @dataclass(frozen=True)
@@ -176,7 +153,7 @@ def _nests(g: _Geometry, scale: float) -> np.ndarray:
 
 def _point(s) -> tuple[float, float]:
     """(sigma, |t|) of s, validated by the oracle's validator."""
-    s = as_complex(s)
+    s = complex(s)
     oracle._validate(s.real, s.imag, oracle.TARGET_FLOOR)
     return s.real, abs(s.imag)
 
@@ -196,15 +173,6 @@ def _scale(scale: float) -> float:
     return scale
 
 
-def turn_angles(n: int, t: float) -> AngleTriple:
-    """Angles between segments n/n+1 and n+1/n+2; beta is their exact sum."""
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    g = _geometry(np.array([n], dtype=np.float64), 0.0, t, bracket=False, disks=False)
-    d1, d2 = float(g.d1[0]), float(g.d2[0])
-    return AngleTriple(d1, d2, d1 + d2)
-
-
 def nesting_margin(n, s):
     """The nesting margin p1^2 B, with p1 = (n+1)^sigma.
 
@@ -215,20 +183,6 @@ def nesting_margin(n, s):
     g = _at(n, s, disks=False)
     out = g.bracket * g.p1**2
     return float(out[0]) if np.ndim(n) == 0 else out
-
-
-def disk_pair(n: int, s) -> DiskPair:
-    """Centers, radii and squared gaps for the disks on segments n and n+2."""
-    g = _at(n, s, bracket=False)
-    r2, rgap, gx, gy = (float(v[0]) / float(g.p1[0]) for v in (g.r2, g.rgap, g.gx, g.gy))
-    r0 = r2 + rgap
-    return DiskPair(n, complex(r0, 0.0), complex(r0 + gx, gy), r0, r2, gx * gx + gy * gy, rgap**2)
-
-
-def disks_nested(n: int, s, scale: float = 1.0) -> bool:
-    """True iff the disks on segments n and n+2, shrunk by scale, nest."""
-    scale = _scale(scale)
-    return bool(_nests(_at(n, s, bracket=False), scale)[0])
 
 
 def _run_end(good: np.ndarray, lo: int, window: int, last_bad: int, flips: int):
@@ -332,7 +286,7 @@ def sandwich_report(
     to skip the rescan.  Measured magnitudes come from one oracle value
     of eta(s) minus streamed partial sums.
     """
-    s = as_complex(s)
+    s = complex(s)
     if diagnostics is None:
         diagnostics = orbit_diagnostics(s, epsilon)
     if n_from <= diagnostics.sandwich_start:

@@ -37,19 +37,11 @@ from collections import Counter
 import numpy as np
 
 from .errors import ZeroDenominator
-from .points import as_complex
-from .series import _sum_blocks, partial_sum
+from .series import _sum_blocks
 from . import functional
 from . import orbit
 
 ZERO_SUM_THRESHOLD = 1e-9
-
-
-@dataclass(frozen=True)
-class RatioSample:
-    n: int
-    value: complex
-    denom_magnitude: float
 
 
 @dataclass(frozen=True)
@@ -95,24 +87,6 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"zero-sum threshold must be finite and positive, got {threshold}")
 
 
-def sum_ratio(n: int, s, threshold: float = ZERO_SUM_THRESHOLD) -> RatioSample:
-    """P_n(s): ratio of the n-th partial sums at the mirror point and at s.
-
-    Raises ZeroDenominator when |S_n(s)| <= threshold; that signals a
-    zero-sum event at n, not a fault.
-    """
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    _check_threshold(threshold)
-    s = as_complex(s)
-    for _, _, (num, den), _ in _sum_blocks((1.0 - s.real, s.real), s.imag, n):
-        pass
-    mag = abs(den[-1])
-    if mag <= threshold:
-        raise ZeroDenominator(mag, n)
-    return RatioSample(n, complex(num[-1] / den[-1]), mag)
-
-
 def sum_ratio_path(
     s, n_max: int, threshold: float = ZERO_SUM_THRESHOLD, n_from: int = 1, on_block=None
 ):
@@ -129,7 +103,7 @@ def sum_ratio_path(
     _check_threshold(threshold)
     if not 1 <= n_from <= max(n_max, 1):
         raise ValueError(f"need 1 <= n_from <= n_max, got n_from = {n_from}, n_max = {n_max}")
-    s = as_complex(s)
+    s = complex(s)
     ratios = np.empty(n_max - n_from + 1, dtype=np.complex128)
     mags = np.empty(ratios.size)
     for lo, _, (num, den), _ in _sum_blocks((1.0 - s.real, s.real), s.imag, n_max):
@@ -169,7 +143,7 @@ def detect_zero_sums(
     """
     _check_ceiling(n_max)
     _check_threshold(threshold)
-    s = as_complex(s)
+    s = complex(s)
     if nesting_index is None:
         nesting_index = orbit.nesting_start(s)
     events: list[ZeroSumEvent] = []
@@ -241,59 +215,9 @@ def envelope_diagnostics(
     """
     if n_from < 1 or n_to < n_from:
         raise ValueError("need 1 <= n_from <= n_to")
-    s = as_complex(s)
+    s = complex(s)
     if limit_modulus is None:
         limit_modulus = functional.functional_ratio_modulus(s)
     ratios, _, _ = sum_ratio_path(s, n_to, n_from=n_from)
     return _envelope(ratios, n_from, n_to, limit_modulus)
 
-
-def alpha_sign_changes(n: int, m: int, t: float, alpha_grid) -> int:
-    """Sign changes of |P_n| - |P_m| along an alpha grid at fixed t."""
-    if n == m:
-        raise ValueError("indices must differ")
-    if min(n, m) < 1:
-        raise ValueError(f"indices must be >= 1, got {n} and {m}")
-    lo, hi = min(n, m), max(n, m)
-    diffs = []
-    for alpha in alpha_grid:
-        s = complex(0.5 - alpha, t)
-        ratios, mag, _ = sum_ratio_path(s, hi, n_from=lo)
-        for idx in (n, m):
-            if mag[idx - lo] <= ZERO_SUM_THRESHOLD:
-                raise ZeroDenominator(float(mag[idx - lo]), idx)
-        diffs.append(abs(ratios[n - lo]) - abs(ratios[m - lo]))
-    signs = np.sign(diffs)
-    live = signs[signs != 0]
-    return int(np.count_nonzero(live[1:] != live[:-1]))
-
-
-def alpha_fd_slope(n: int, t: float, alpha: float, step: float = 1e-4) -> float:
-    """Finite-difference slope in alpha of |P_n(1/2 - alpha + it)|.
-
-    Central difference in the interior; at alpha = 0 a one-sided
-    difference anchored at the exact critical-line value 1.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if alpha + step >= 0.5 or alpha < 0.0:
-        raise ValueError("alpha and alpha + step must stay inside [0, 1/2)")
-    hi = sum_ratio(n, complex(0.5 - alpha - step, t))
-    if alpha == 0.0:
-        return (abs(hi.value) - 1.0) / step
-    if alpha - step < 0.0:
-        raise ValueError("alpha - step must stay inside [0, 1/2)")
-    lo = sum_ratio(n, complex(0.5 - alpha + step, t))
-    return (abs(hi.value) - abs(lo.value)) / (2.0 * step)
-
-
-def vertex_distance(m: int, j: int, s) -> float:
-    """|S_{m+j}(s) - S_m(s)|, the gap between two orbit vertexes.
-
-    Tends to |R_m(s)| as j grows, at the O((m+j)^-sigma) rate of the
-    discarded tail.
-    """
-    if m < 1 or j < 1:
-        raise ValueError("need m >= 1 and j >= 1")
-    s = as_complex(s)
-    return abs(partial_sum(m + j, s) - partial_sum(m, s))

@@ -23,24 +23,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .points import as_complex
-
 _BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class SeriesState:
-    """Streaming accumulator state after adding the n-th term."""
-
-    n: int
-    sum: complex
-    last_term: complex
 
 
 @dataclass(frozen=True)
@@ -52,28 +39,6 @@ class Segment:
     end: complex
     length: float
     theta: float
-
-
-def eta_term(n: int, s) -> complex:
-    """The n-th series term (-1)^(n-1) n^(-sigma) e^(-i t ln n)."""
-    if n < 1:
-        raise ValueError(f"term index must be >= 1, got {n}")
-    s = as_complex(s)
-    ln = math.log(n)
-    mag = math.exp(-s.real * ln)
-    phase = cmath.exp(-1j * abs(s.imag) * ln)
-    if s.imag < 0:
-        phase = phase.conjugate()
-    value = mag * phase
-    return -value if n % 2 == 0 else value
-
-
-def segment_angle(n: int, t: float) -> float:
-    """Angle of segment n with the real axis: -t ln n, plus pi for even n."""
-    if n < 1:
-        raise ValueError(f"segment index must be >= 1, got {n}")
-    base = -t * math.log(n)
-    return math.pi + base if n % 2 == 0 else base
 
 
 def turn_angle(n: int, t: float) -> float:
@@ -133,7 +98,7 @@ def partial_sum(n: int, s) -> complex:
         raise ValueError(f"partial sum index must be >= 0, got {n}")
     if n == 0:
         return 0.0 + 0.0j
-    s = as_complex(s)
+    s = complex(s)
     for *_, totals in _sum_blocks((s.real,), s.imag, n):
         pass
     return totals[0]
@@ -153,7 +118,7 @@ def partial_sum_path(s, n_max: int, stride: int = 1, n_from: int = 1) -> np.ndar
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not 1 <= n_from <= n_max:
         raise ValueError(f"need 1 <= n_from <= n_max, got n_from = {n_from}, n_max = {n_max}")
-    s = as_complex(s)
+    s = complex(s)
     path = np.empty(len(range(n_from, n_max + 1, stride)), dtype=np.complex128)
     for lo, _, (sums,), _ in _sum_blocks((s.real,), s.imag, n_max):
         start = max(lo, n_from)
@@ -164,31 +129,15 @@ def partial_sum_path(s, n_max: int, stride: int = 1, n_from: int = 1) -> np.ndar
     return path
 
 
-def iter_partial_sums(s, n_from: int = 1) -> Iterator[SeriesState]:
-    """Stream SeriesState(n, S_n, term_n) for n = n_from, n_from+1, ...
-
-    Sums come from the kernel a block at a time, so they equal the
-    entries of :func:`partial_sum_path`.  The stream state is
-    single-owner: share values, not the generator.
-    """
-    s = as_complex(s)
-    for lo, (terms,), (sums,), _ in _sum_blocks((s.real,), s.imag, sys.maxsize):
-        skip = max(n_from - lo, 0)
-        for n, total, term in zip(
-            range(lo + skip, lo + sums.size), sums[skip:].tolist(), terms[skip:].tolist()
-        ):
-            yield SeriesState(n, total, term)
-
-
 def segment(n: int, s) -> Segment:
-    """Segment n of the path, with its exact length and axis angle."""
-    s = as_complex(s)
+    """Segment n of the path, with its exact length and axis angle -t ln n (+ pi for even n)."""
+    s = complex(s)
     start = partial_sum(n - 1, s)
-    term = eta_term(n, s)
-    return Segment(
-        n=n,
-        start=start,
-        end=start + term,
-        length=math.exp(-s.real * math.log(n)),
-        theta=segment_angle(n, s.imag),
-    )
+    ln = math.log(n)
+    length = math.exp(-s.real * ln)
+    phase = cmath.exp(-1j * abs(s.imag) * ln)
+    term = length * (phase.conjugate() if s.imag < 0 else phase)
+    theta = -s.imag * ln
+    if n % 2 == 0:
+        term, theta = -term, math.pi + theta
+    return Segment(n=n, start=start, end=start + term, length=length, theta=theta)

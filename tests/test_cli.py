@@ -532,14 +532,17 @@ class TestInvalidInput:
         (("--sigma", "0.5", "--t", "500"), "error: |Im(s)| = 500 outside the supported range <= 200\n"),
     ])
     def test_orbit_point_validated_before_the_sweep(self, capsys, monkeypatch, argv, message):
-        from etalab import orbit
+        from etalab import orbit, ratios, series
 
         def sweep(*args, **kwargs):
             raise AssertionError("swept an invalid point")
 
         monkeypatch.setattr(orbit, "_geometry", sweep)
-        for command in ("orbit", "sandwich", "ratio"):
-            code, out, err = run(capsys, command, *argv)
+        for module in (series, ratios):  # the summation kernel, where each looks it up
+            monkeypatch.setattr(module, "_sum_blocks", sweep)
+        for command, extra in (("orbit", ()), ("sandwich", ()), ("ratio", ()),
+                               ("path-export", ("--n-max", "10"))):
+            code, out, err = run(capsys, command, *argv, *extra)
             assert code == 2
             assert err == message
             assert out == ""
@@ -552,14 +555,18 @@ class TestInvalidInput:
          "error: n_max must be <= 1e+07\n"),
         ("sandwich", ("--sigma", "0.5", "--t", "20", "--n-max", "0"), "error: n_max must be >= 1, got 0\n"),
         ("sandwich", ("--sigma", "0.5", "--t", "20", "--n-max", "-3"), "error: n_max must be >= 1, got -3\n"),
+        ("path-export", ("--sigma", "0.5", "--t", "20", "--n-max", "10000001"),
+         "error: n_max must be <= 1e+07\n"),
     ])
     def test_refused_before_the_sweep(self, capsys, monkeypatch, command, argv, message):
-        from etalab import orbit
+        from etalab import orbit, ratios, series
 
         def sweep(*args, **kwargs):
             raise AssertionError("swept before refusing the input")
 
         monkeypatch.setattr(orbit, "_geometry", sweep)
+        for module in (series, ratios):  # the summation kernel, where each looks it up
+            monkeypatch.setattr(module, "_sum_blocks", sweep)
         code, out, err = run(capsys, command, *argv)
         assert code == 2
         assert err == message

@@ -11,16 +11,14 @@ from etalab import (
     WindowExhausted,
     angle_threshold,
     containment_start,
-    disk_pair,
-    disks_nested,
     eta,
     nesting_margin,
     nesting_start,
     orbit_diagnostics,
     partial_sum_path,
     sandwich_report,
+    shrunk_gap_record,
     turn_angle,
-    turn_angles,
 )
 
 S_PAPER = 0.50567 + 37.58631j  # transition point featured in the margin trace
@@ -52,31 +50,29 @@ class TestAngleThreshold:
                 assert turn_angle(n, t) < math.pi / 2.0
 
 
-class TestAngleTriple:
-    def test_sum_exact_by_construction(self):
-        a = turn_angles(1200, 20.0)
-        assert a.beta == a.delta1 + a.delta2
-        assert abs(a.delta1 - turn_angle(1200, 20.0)) == 0.0
-        assert abs(a.delta2 - turn_angle(1201, 20.0)) == 0.0
+def _disks(n: int, s: complex) -> tuple[float, ...]:
+    """(r2, r0 - r2, gx, gy): radius of the disk on segment n+2, the radius gap
+    and the centre gap of the disks on segments n and n+2, from the kernel."""
+    g = orbit._geometry(np.array([float(n)]), s.real, s.imag, lengths=True)
+    return tuple(float(v[0]) / float(g.p1[0]) for v in (g.r2, g.rgap, g.gx, g.gy))
 
 
 class TestDiskPair:
     def test_radii_ordering(self):
-        pair = disk_pair(1200, 0.5 + 20.0j)
-        assert pair.radius_n > pair.radius_n2 > 0.0
-        assert pair.center_dist_sq >= 0.0
-        assert pair.radius_diff_sq >= 0.0
+        r2, rgap, _, _ = _disks(1200, 0.5 + 20.0j)
+        assert r2 + rgap > r2 > 0.0
 
     def test_degenerate_t_zero_center(self):
         n, sigma = 25, 0.7
-        pair = disk_pair(n, complex(sigma, 0.0))
+        r2, rgap, gx, gy = _disks(n, complex(sigma, 0.0))
+        center_n2 = complex(r2 + rgap + gx, gy)
         want = 1.0 / (n + 1.0) ** sigma - 0.5 / (n + 2.0) ** sigma
-        assert abs(pair.center_n2 - want) < 1e-16
-        assert pair.center_n2.imag == 0.0
+        assert abs(center_n2 - want) < 1e-16
+        assert center_n2.imag == 0.0
 
     def test_rejects_below_threshold(self):
         with pytest.raises(AngleTooLarge):
-            disk_pair(5, 0.5 + 37.58631j)
+            shrunk_gap_record(5, 0.5 + 37.58631j)
 
     def test_sign_equivalence_with_margin(self):
         # the margin numerator and the coordinate route must agree in sign
@@ -88,8 +84,8 @@ class TestDiskPair:
             t = rng.uniform(0.0, 60.0)
             n = rng.randint(angle_threshold(t), angle_threshold(t) + 5000)
             s = complex(sigma, t)
-            pair = disk_pair(n, s)
-            gap = pair.radius_diff_sq - pair.center_dist_sq
+            _, rgap, gx, gy = _disks(n, s)
+            gap = rgap**2 - (gx * gx + gy * gy)
             if abs(gap) > 1e-18:  # below that both routes sit in rounding noise
                 assert np.sign(nesting_margin(n, s)) == np.sign(gap)
 
@@ -144,19 +140,22 @@ class TestNestingStart:
 
 
 class TestContainment:
+    """Disks shrunk by a scale nest where their exact gap is positive."""
+
     def test_paper_figure_example(self):
-        assert disks_nested(1200, 0.5 + 20.0j, 1.0)
-        assert disks_nested(1200, 0.5 + 20.0j, 0.5)
+        assert shrunk_gap_record(1200, 0.5 + 20.0j, 1.0).exact > 0.0
+        assert shrunk_gap_record(1200, 0.5 + 20.0j, 0.5).exact > 0.0
 
     def test_small_scale_fails_at_moderate_n(self):
-        assert not disks_nested(1200, 0.5 + 20.0j, 1e-6)
+        assert not shrunk_gap_record(1200, 0.5 + 20.0j, 1e-6).exact > 0.0
 
     def test_nested_chain(self):
-        assert all(disks_nested(1200 + 2 * k, 0.5 + 20.0j, 1.0) for k in range(100))
+        ns = 1200 + 2 * np.arange(100)
+        assert np.all(shrunk_gap_record(ns, 0.5 + 20.0j, 1.0).exact > 0.0)
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):
-            disks_nested(1200, 0.5 + 20.0j, 0.0)
+            containment_start(0.5 + 20.0j, 0.0)
 
     def test_containment_start_frozen(self):
         assert containment_start(0.5 + 20.0j, 0.5) == 801
@@ -268,22 +267,12 @@ class TestViewsOfTheKernel:
     def _kernel(self):
         return orbit._geometry(self.NS.astype(float), self.S.real, self.S.imag, lengths=True)
 
-    def test_disk_pair_reads_the_kernel(self):
-        g = self._kernel()
-        for i, n in enumerate(self.NS):
-            pair = disk_pair(int(n), self.S)
-            r2, rgap, gx, gy = (v[i] / g.p1[i] for v in (g.r2, g.rgap, g.gx, g.gy))
-            r0 = r2 + rgap
-            assert (pair.radius_n, pair.radius_n2) == (r0, r2)
-            assert pair.center_n2 == complex(r0 + gx, gy)
-            assert pair.center_dist_sq == gx * gx + gy * gy
-            assert pair.radius_diff_sq == rgap**2
-
     def test_disks_nested_reads_the_kernel(self):
+        # the sign of the shrunk-disk gap is the kernel's nesting predicate
         g = self._kernel()
         for scale in (1.0, 0.5, 1e-3):
             want = np.hypot(g.gx, g.gy) < scale * g.rgap
-            assert [disks_nested(int(n), self.S, scale) for n in self.NS] == want.tolist()
+            assert (shrunk_gap_record(self.NS, self.S, scale).exact > 0.0).tolist() == want.tolist()
 
     def test_radii_match_their_closed_forms(self):
         g, sigma = self._kernel(), self.S.real
@@ -293,9 +282,9 @@ class TestViewsOfTheKernel:
         assert np.allclose(g.rgap / g.p1, r_n - r_n2, rtol=1e-9, atol=0.0)
 
     def test_turn_angles_read_the_kernel(self):
+        # the kernel's turn angles at n are those of segments n+1 and n+2
         g = orbit._geometry(np.array([1200.0]), 0.0, 20.0, bracket=False, disks=False)
-        a = turn_angles(1200, 20.0)
-        assert (a.delta1, a.delta2) == (g.d1[0], g.d2[0])
+        assert (g.d1[0], g.d2[0]) == (turn_angle(1200, 20.0), turn_angle(1201, 20.0))
 
 
 class TestInvalidPoints:

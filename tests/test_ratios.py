@@ -8,18 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from etalab import (
     ZeroDenominator,
-    alpha_fd_slope,
-    alpha_sign_changes,
     detect_zero_sums,
     envelope_diagnostics,
     eta,
     limit_estimate,
     orbit_diagnostics,
+    partial_sum,
     partial_sum_path,
-    sum_ratio,
+    remainder,
     sum_ratio_path,
-    vertex_distance,
 )
+from etalab.ratios import ZERO_SUM_THRESHOLD
 
 S_EARLY_NULL = 0.4412 + 147.0517j   # early vanishing partial sum, around n = 35
 S_LATE_NULL = 0.50567 + 37.58631j  # late vanishing partial sum, around n = 1516
@@ -30,16 +29,22 @@ LIMIT_03_20 = complex(0.63786332226830114, 0.12182432485018568)
 R_2000_MAG = 0.0111790820134
 
 
+def _ratio(n: int, s: complex, threshold: float = ZERO_SUM_THRESHOLD):
+    """(P_n(s), |S_n(s)|, skipped) from a one-index window of the mirrored pass."""
+    [value], [mag], skipped = sum_ratio_path(s, n, threshold, n_from=n)
+    return complex(value), float(mag), skipped
+
+
 class TestSumRatio:
     def test_first_ratio_is_one(self):
-        assert sum_ratio(1, 0.3 + 9.0j).value == 1.0 + 0.0j
+        assert _ratio(1, 0.3 + 9.0j)[0] == 1.0 + 0.0j
 
     def test_critical_line_ratio_is_one_up_to_rounding(self):
         # the same-t mirror of sigma = 1/2 is the point itself; complex
         # division of identical sums still leaves sub-ulp residue
         for n in (2, 17, 1001):
-            sample = sum_ratio(n, 0.5 + 33.0j)
-            assert abs(sample.value - 1.0) < 1e-15
+            value, _, _ = _ratio(n, 0.5 + 33.0j)
+            assert abs(value - 1.0) < 1e-15
 
     @given(
         n=st.integers(min_value=1, max_value=3000),
@@ -47,24 +52,25 @@ class TestSumRatio:
     )
     @settings(max_examples=40, deadline=None)
     def test_critical_line_modulus_property(self, n, t):
-        assert abs(abs(sum_ratio(n, complex(0.5, t)).value) - 1.0) <= 1e-12
+        assert abs(abs(_ratio(n, complex(0.5, t))[0]) - 1.0) <= 1e-12
 
     def test_mirror_point_magnitude(self):
-        sample = sum_ratio(10**5, 0.404 + 147.0j)
-        assert abs(abs(sample.value) - 0.67252) < 2e-2
+        value, _, _ = _ratio(10**5, 0.404 + 147.0j)
+        assert abs(abs(value) - 0.67252) < 2e-2
 
     def test_zero_denominator_signals_event(self):
-        with pytest.raises(ZeroDenominator) as info:
-            sum_ratio(1516, S_LATE_NULL, threshold=1e-2)
-        assert info.value.n == 1516
+        value, mag, skipped = _ratio(1516, S_LATE_NULL, threshold=1e-2)
+        assert skipped == [1516]
+        assert mag <= 1e-2
+        assert np.isnan(value)
 
     def test_path_matches_scalar(self):
         s = 0.3 + 20.0j
         ratios, mags, skipped = sum_ratio_path(s, 500)
         assert skipped == []
-        sample = sum_ratio(500, s)
-        assert abs(ratios[-1] - sample.value) < 1e-15
-        assert abs(mags[-1] - sample.denom_magnitude) < 1e-15
+        value, mag, _ = _ratio(500, s)
+        assert abs(ratios[-1] - value) < 1e-15
+        assert abs(mags[-1] - mag) < 1e-15
 
 
 class TestZeroSumEvents:
@@ -106,7 +112,7 @@ class TestZeroSumEvents:
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1e-9])
     def test_threshold_validated_by_every_entry(self, threshold):
         s = 0.3 + 25.0j
-        for call in (lambda: sum_ratio(10, s, threshold), lambda: sum_ratio_path(s, 10, threshold),
+        for call in (lambda: sum_ratio_path(s, 10, threshold),
                      lambda: limit_estimate(s, 10, threshold=threshold),
                      lambda: detect_zero_sums(s, 10, threshold, nesting_index=0)):
             with pytest.raises(ValueError, match="threshold must be finite and positive"):
@@ -140,8 +146,8 @@ class TestLimitEstimate:
 
 
 class TestStreamedReports:
-    """limit_estimate, envelope_diagnostics and alpha_sign_changes keep only
-    a tail of one streamed pass; they read the bits of sum_ratio_path."""
+    """limit_estimate and envelope_diagnostics keep only a tail of one
+    streamed pass; they read the bits of sum_ratio_path."""
 
     @pytest.mark.parametrize("s", [0.3 + 20.0j, 0.3 - 20.0j, 0.3 + 0.0j], ids=str)
     @pytest.mark.parametrize("n_max", [2, 3, 65536, 65537, 131073])
@@ -158,18 +164,6 @@ class TestStreamedReports:
         changes = signs[1:] != signs[:-1]
         assert rep.alternation_rate == (float(np.mean(changes)) if changes.size else 0.0)
         assert sum(length * count for length, count in rep.run_lengths.items()) == n_max - n_from + 1
-
-    def test_alpha_sign_changes_across_a_block_edge(self):
-        grid = [0.05, 0.1, 0.15, 0.2]
-        diffs = []
-        for alpha in grid:
-            ratios, _, _ = sum_ratio_path(complex(0.5 - alpha, 20.0), 65540)
-            diffs.append(abs(ratios[65539]) - abs(ratios[65533]))
-        signs = np.sign(diffs)
-        live = signs[signs != 0]
-        want = int(np.count_nonzero(live[1:] != live[:-1]))
-        assert alpha_sign_changes(65540, 65534, 20.0, grid) == want
-        assert alpha_sign_changes(65534, 65540, 20.0, grid) == want
 
     @pytest.mark.parametrize("s", [0.3 + 20.0j, 0.3 - 20.0j, 0.3 + 0.0j], ids=str)
     @pytest.mark.parametrize("n_from", [1, 2, 65536, 65537, 131073])
@@ -225,48 +219,39 @@ class TestEnvelope:
 
 
 class TestAlphaDiagnostics:
-    def test_equal_indices_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_sign_changes(7, 7, 20.0, [0.1, 0.2])
-        for n, m in ((0, 5), (5, 0), (-1, 3)):
-            with pytest.raises(ValueError):
-                alpha_sign_changes(n, m, 20.0, [0.1, 0.2])
-
-    def test_count_is_finite_and_reported(self):
-        grid = np.arange(0.0, 0.21, 0.05)
-        count = alpha_sign_changes(2000, 1999, 37.58631, grid)
-        assert count >= 0
+    """|P_n(1/2 - alpha + it)| falls as alpha grows, by finite differences."""
 
     def test_fd_slope_negative_at_scale(self):
-        slope = alpha_fd_slope(10**5, 40.0, 0.2, 1e-4)
-        assert slope < 0.0
-
-    def test_fd_slope_range_validation(self):
-        with pytest.raises(ValueError):
-            alpha_fd_slope(100, 40.0, 0.4999, 1e-3)
-        with pytest.raises(ValueError):
-            alpha_fd_slope(100, 40.0, 5e-5, 1e-4)
+        n, t, alpha, step = 10**5, 40.0, 0.2, 1e-4
+        hi, _, _ = _ratio(n, complex(0.5 - alpha - step, t))
+        lo, _, _ = _ratio(n, complex(0.5 - alpha + step, t))
+        assert (abs(hi) - abs(lo)) / (2.0 * step) < 0.0
 
     def test_fd_slope_one_sided_anchor_at_zero(self):
         # anchored at the exact critical-line ratio 1; slope stays negative
-        assert alpha_fd_slope(5000, 40.0, 0.0, 1e-4) < 0.0
+        hi, _, _ = _ratio(5000, complex(0.5 - 1e-4, 40.0))
+        assert (abs(hi) - 1.0) / 1e-4 < 0.0
 
 
 class TestVertexDistance:
+    """|S_{m+j}(s) - S_m(s)|, the gap between two orbit vertexes."""
+
     def test_tends_to_remainder_magnitude(self):
         # the gap to |R_m| is the discarded tail, of order (m+j)^(-sigma)
-        d = vertex_distance(2000, 10**5, 0.5 + 20.0j)
+        s = 0.5 + 20.0j
+        d = abs(partial_sum(2000 + 10**5, s) - partial_sum(2000, s))
         tail_allowance = 2.0 * (2000 + 10**5) ** -0.5
         assert abs(d - R_2000_MAG) < tail_allowance
+        assert abs(remainder(2000, s).magnitude - R_2000_MAG) < 1e-12
 
     def test_theta_scaling_window(self):
-        m = 2000
-        d = vertex_distance(m, 10**5, 0.5 + 20.0j)
+        m, s = 2000, 0.5 + 20.0j
+        d = abs(partial_sum(m + 10**5, s) - partial_sum(m, s))
         assert 1.0 / (4.0 * math.sqrt(m)) < d < 2.0 / math.sqrt(m)
 
     def test_short_hop_triangle_inequality(self):
         s = 0.5 + 20.0j
-        d = vertex_distance(2000, 4, s)
+        d = abs(partial_sum(2000 + 4, s) - partial_sum(2000, s))
         lengths = sum(k ** -0.5 for k in range(2001, 2005))
         assert d < lengths
 

@@ -13,17 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from etalab import ratios as ratio_module
 from etalab import (
-    SeriesState,
     detect_zero_sums,
     envelope_diagnostics,
-    eta_term,
-    iter_partial_sums,
     limit_estimate,
     partial_sum,
     partial_sum_path,
     segment,
-    segment_angle,
-    sum_ratio,
     sum_ratio_path,
     turn_angle,
 )
@@ -34,32 +29,31 @@ TERM_3 = complex(-0.33847444412685854, -0.4677268262633088)
 S_1000_SIGMA1 = 0.69264743055982031
 
 
+def _term(n: int, s: complex) -> complex:
+    """Scalar reference for the n-th term (-1)^(n-1) n^(-sigma) e^(-i t ln n)."""
+    value = cmath.exp(-s * math.log(n))
+    return -value if n % 2 == 0 else value
+
+
 class TestEtaTerm:
+    """The series terms, read off the segments of the path."""
+
     def test_first_term_is_one(self):
         for s in (0.5 + 3j, 0.1 + 0j, 0.9 - 40j):
-            assert eta_term(1, s) == 1.0 + 0.0j
+            seg = segment(1, s)
+            assert (seg.start, seg.end) == (0.0 + 0.0j, 1.0 + 0.0j)
 
     def test_second_term_at_one(self):
-        assert eta_term(2, 1.0 + 0.0j) == -0.5 + 0.0j
+        seg = segment(2, 1.0 + 0.0j)
+        assert seg.end - seg.start == -0.5 + 0.0j
 
     def test_third_term_frozen(self):
-        got = eta_term(3, 0.5 + 2.0j)
-        assert abs(got - TERM_3) < 1e-15
+        seg = segment(3, 0.5 + 2.0j)
+        assert abs((seg.end - seg.start) - TERM_3) < 1e-15
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            eta_term(0, 0.5 + 1j)
-
-    @given(
-        n=st.integers(min_value=1, max_value=10**6),
-        sigma=st.floats(min_value=0.05, max_value=0.95),
-        t=st.floats(min_value=0.0, max_value=150.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_modulus_is_power(self, n, sigma, t):
-        got = abs(eta_term(n, complex(sigma, t)))
-        want = n ** -sigma
-        assert abs(got - want) <= 1e-14 * want
+            segment(0, 0.5 + 1j)
 
 
 class TestPartialSum:
@@ -87,7 +81,7 @@ class TestPartialSum:
     def test_telescoping(self, n, sigma, t):
         s = complex(sigma, t)
         gap = partial_sum(n, s) - partial_sum(n - 1, s)
-        term = eta_term(n, s)
+        term = _term(n, s)
         scale = max(1.0, abs(partial_sum(n, s)))
         assert abs(gap - term) <= 1e-14 * scale
 
@@ -96,7 +90,7 @@ class TestPartialSum:
         s = 0.5 + 20.0j
         path = partial_sum_path(s, n)
         gap = path[-1] - path[-2]
-        assert abs(gap - eta_term(n, s)) <= 1e-14 * max(1.0, abs(path[-1]))
+        assert abs(gap - _term(n, s)) <= 1e-14 * max(1.0, abs(path[-1]))
 
     @given(
         n=st.integers(min_value=1, max_value=5000),
@@ -116,52 +110,42 @@ class TestPartialSum:
 
 
 class TestStreaming:
+    """The kernel streams the path a block at a time; a window from n_from on
+    holds the same sums as the whole path."""
+
     def test_states_match_path(self):
         s = 0.5 + 38.0j
         path = partial_sum_path(s, 400)
-        stream = iter_partial_sums(s)
         for n in range(1, 401):
-            state = next(stream)
-            assert state.n == n
-            assert abs(state.sum - path[n - 1]) < 1e-14
+            assert abs(partial_sum(n, s) - path[n - 1]) < 1e-14
 
     def test_state_invariants(self):
         s = 0.25 + 12.0j
-        prev = None
-        for state in iter_partial_sums(s):
-            assert isinstance(state, SeriesState)
-            assert abs(abs(state.last_term) - state.n ** -0.25) < 1e-14
-            if prev is not None:
-                assert abs((state.sum - prev.sum) - state.last_term) < 1e-13
-            prev = state
-            if state.n >= 300:
-                break
+        path = partial_sum_path(s, 300)
+        for n in range(2, 301):
+            assert abs((path[n - 1] - path[n - 2]) - _term(n, s)) < 1e-13
 
     def test_offset_start(self):
         s = 0.7 + 5.0j
-        stream = iter_partial_sums(s, n_from=1001)
-        state = next(stream)
-        assert state.n == 1001
-        assert abs(state.sum - partial_sum(1001, s)) < 1e-13
+        [first] = partial_sum_path(s, 1001, n_from=1001)
+        assert abs(first - partial_sum(1001, s)) < 1e-13
 
     def test_stream_is_the_path_across_a_block_boundary(self):
         s = 0.4 - 30.0j
         path = partial_sum_path(s, 65560)
-        stream = iter_partial_sums(s, n_from=65530)
+        window = partial_sum_path(s, 65560, n_from=65529)
+        assert window.tobytes() == path[65528:].tobytes()
         for n in range(65530, 65561):
-            state = next(stream)
-            assert state.n == n
-            assert state.sum == path[n - 1]
-            assert abs(state.last_term - eta_term(n, s)) < 1e-15
+            assert abs((window[n - 65529] - window[n - 65530]) - _term(n, s)) < 1e-15
 
 
 class TestAngles:
     def test_segment_angle_trivials(self):
-        assert segment_angle(1, 123.0) == 0.0
-        assert segment_angle(2, 0.0) == math.pi
+        assert segment(1, 0.5 + 123.0j).theta == 0.0
+        assert segment(2, 0.5 + 0.0j).theta == math.pi
 
     def test_segment_angle_frozen(self):
-        assert abs(segment_angle(3, 2.0) - (-2.1972245773362194)) < 1e-15
+        assert abs(segment(3, 0.5 + 2.0j).theta - (-2.1972245773362194)) < 1e-15
 
     def test_turn_angle_zero_t(self):
         assert turn_angle(17, 0.0) == 0.0
@@ -183,10 +167,10 @@ class TestSegment:
         s = 0.5 + 38.0j
         for n in (1, 2, 293, 313):
             seg = segment(n, s)
-            term = eta_term(n, s)
+            term = _term(n, s)
             assert abs((seg.end - seg.start) - term) < 1e-13
             assert abs(seg.length - abs(term)) < 1e-14
-            assert seg.theta == segment_angle(n, 38.0)
+            assert seg.theta == -38.0 * math.log(n) + (math.pi if n % 2 == 0 else 0.0)
             # the term points along theta
             assert abs(cmath.exp(1j * seg.theta) * seg.length - term) < 1e-13
 
@@ -286,10 +270,10 @@ class TestKernelMatchesReference:
         _assert_same_bits(mags, np.abs(den))
         _assert_same_bits(ratios, num / den)
         assert skipped == []
-        for n in (2, 65537, self.N):
-            sample = sum_ratio(n, s)
-            _assert_same_bits(sample.value, num[n - 1] / den[n - 1])
-            _assert_same_bits(sample.denom_magnitude, abs(den[n - 1]))
+        for n in (2, 65537, self.N):  # a one-index window of a pass that ends at n
+            ratio, mag, _ = sum_ratio_path(s, n, n_from=n)
+            _assert_same_bits(ratio, num[n - 1 : n] / den[n - 1 : n])
+            _assert_same_bits(mag, np.abs(den[n - 1 : n]))
 
     def test_limit_and_envelope(self, case):
         s, num, den = case
@@ -366,4 +350,4 @@ class TestKernelMatchesReference:
             with pytest.raises(ValueError, match="finite"):
                 partial_sum_path(s, 10)
             with pytest.raises(ValueError, match="finite"):
-                sum_ratio(10, s)
+                sum_ratio_path(s, 10)
