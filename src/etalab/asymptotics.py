@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_in
 from . import orbit
 
 
@@ -60,4 +61,5 @@ def shrunk_gap_record(n, s, scale: float = 0.5) -> AsymptoticRecord:
     scale = 1/2 is the half-radius construction; the leading term grows
     as scale^2, so records at scales 1/2 and 1/4 have ratio 4.
     """
-    return _record(n, s, orbit._scale(scale))
+    check_in("scale", scale, "(0, 1]")
+    return _record(n, s, scale)

@@ -34,6 +34,10 @@ from .errors import (
     PoleError,
     WindowExhausted,
     ZeroDenominator,
+    check_at_least,
+    check_ceiling,
+    check_points,
+    check_positive,
 )
 from .series import partial_sum_path
 
@@ -99,10 +103,6 @@ def _approx_deviation_args(p):
     p.add_argument("--step", type=float, default=1e-4, help="sigma grid step")
 
 
-def _config(args) -> RunConfig:
-    return resolve_config({f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
-
-
 def _deliver(text: str, out: str | None) -> None:
     if out:
         write_text(out, text)
@@ -164,25 +164,17 @@ def _value_output(cfg: RunConfig, command: str, s: complex, value: oracle.Oracle
     return "\n".join(lines) + "\n"
 
 
-def cmd_eta(args) -> int:
-    cfg = _config(args)
+def cmd_value(args, cfg: RunConfig) -> int:
     s = complex(args.sigma, args.t)
-    _deliver(_value_output(cfg, "eta", s, oracle.eta(s, cfg.precision)), cfg.out)
+    value = (oracle.eta if args.command == "eta" else oracle.zeta)(s, cfg.precision)
+    _deliver(_value_output(cfg, args.command, s, value), cfg.out)
     return 0
 
 
-def cmd_zeta(args) -> int:
-    cfg = _config(args)
+def cmd_path_export(args, cfg: RunConfig) -> int:
     s = complex(args.sigma, args.t)
-    _deliver(_value_output(cfg, "zeta", s, oracle.zeta(s, cfg.precision)), cfg.out)
-    return 0
-
-
-def cmd_path_export(args) -> int:
-    cfg = _config(args)
-    s = complex(args.sigma, args.t)
-    ratios._check_ceiling(args.n_max)
-    oracle._validate(s.real, s.imag, oracle.TARGET_FLOOR)
+    check_ceiling(args.n_max)
+    check_points(s.real, s.imag)
     path = partial_sum_path(s, args.n_max, args.stride)
     rows = zip(range(1, args.n_max + 1, args.stride), path.real.tolist(), path.imag.tolist())
     config = {"sigma": s.real, "t": s.imag, "n_max": args.n_max, "stride": args.stride}
@@ -190,8 +182,7 @@ def cmd_path_export(args) -> int:
     return 0
 
 
-def cmd_orbit(args) -> int:
-    cfg = _config(args)
+def cmd_orbit(args, cfg: RunConfig) -> int:
     s = complex(args.sigma, args.t)
     diag = orbit.orbit_diagnostics(s, cfg.epsilon, cfg.window, cfg.ceiling)
     first_positive = max(diag.nesting_start + 1, diag.acute_start)
@@ -221,12 +212,10 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def cmd_sandwich(args) -> int:
-    cfg = _config(args)
+def cmd_sandwich(args, cfg: RunConfig) -> int:
     s = complex(args.sigma, args.t)
-    ratios._check_ceiling(args.n_max)  # the report holds a path of n_max indices and more
-    if args.n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {args.n_max}")
+    check_ceiling(args.n_max)  # the report holds a path of n_max indices and more
+    check_at_least("n_max", args.n_max, 1)
     diag = orbit.orbit_diagnostics(s, cfg.epsilon, cfg.window, cfg.ceiling)
     start = diag.sandwich_start + 1
     report = orbit.sandwich_report(
@@ -257,14 +246,12 @@ def cmd_sandwich(args) -> int:
     return 0
 
 
-def cmd_ratio(args) -> int:
-    cfg = _config(args)
+def cmd_ratio(args, cfg: RunConfig) -> int:
     s = complex(args.sigma, args.t)
-    ratios._check_pair(args.n_max)
-    ratios._check_ceiling(args.n_max)
-    ratios._check_threshold(args.zero_threshold)
-    oracle._validate(s.real, s.imag, oracle.TARGET_FLOOR)
-    ratio = functional.functional_ratio(s)  # needs 0 < sigma < 1; checked before the sweep
+    check_at_least("n_max", args.n_max, 2)
+    check_ceiling(args.n_max)
+    check_positive("zero-sum threshold", args.zero_threshold)
+    ratio = functional.functional_ratio(s)  # checks s and 0 < sigma < 1 before the sweep
     nesting = orbit.nesting_start(s)
     env_from = max(1, args.n_max - 200)
     events = []
@@ -328,8 +315,7 @@ def _grid(cfg: RunConfig, args) -> scans.ScanGrid:
     return scans.ScanGrid(*alpha_axis, cfg.grid_t_from, cfg.grid_t_to, cfg.grid_t_step)
 
 
-def cmd_scan(args) -> int:
-    cfg = _config(args)
+def cmd_scan(args, cfg: RunConfig) -> int:
     cache = CacheStore(cfg.cache_dir) if cfg.cache_dir else None
 
     if args.which == "conjecture":
@@ -445,8 +431,7 @@ def _cached_scan(cache, params, fmt, compute, verify_row):
     return text, rows
 
 
-def cmd_verify_zeros(args) -> int:
-    cfg = _config(args)
+def cmd_verify_zeros(args, cfg: RunConfig) -> int:
     entries = zeros.load_zero_table(args.table) if args.table else None
     checks = zeros.verify_zeros(entries, cfg.precision)
     header = ("ordinal", "t", "magnitude", "abs_error_bound", "zero_indistinguishable", "is_zero_like")
@@ -464,8 +449,7 @@ def cmd_verify_zeros(args) -> int:
     return 1 if not_zero else 0
 
 
-def cmd_approx_deviation(args) -> int:
-    cfg = _config(args)
+def cmd_approx_deviation(args, cfg: RunConfig) -> int:
     which = ("upper-approx", "lower-approx") if args.which == "both" else (args.which,)
     reports = [functional.approx_deviation_scan(w, args.step) for w in which]
     header = ("which", "max_deviation", "argmax_sigma", "violations", "grid_step")
@@ -476,8 +460,8 @@ def cmd_approx_deviation(args) -> int:
 
 # name -> (help, argument adder, handler), in the order --help lists them
 COMMANDS = {
-    "eta": ("evaluate eta(s) with a certified error bound", _point_args, cmd_eta),
-    "zeta": ("evaluate zeta(s) = eta(s)/(1 - 2^(1-s))", _point_args, cmd_zeta),
+    "eta": ("evaluate eta(s) with a certified error bound", _point_args, cmd_value),
+    "zeta": ("evaluate zeta(s) = eta(s)/(1 - 2^(1-s))", _point_args, cmd_value),
     "path-export": ("partial-sum path as CSV rows n,re,im", _path_export_args, cmd_path_export),
     "orbit": ("disk-nesting diagnostics and margin trace", _orbit_args, cmd_orbit),
     "sandwich": ("remainder sandwich records beyond the start index", _sandwich_args, cmd_sandwich),
@@ -518,14 +502,13 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.handler(args)
+        # every subcommand resolves, and so checks, the whole configuration
+        cfg = resolve_config({f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+        return args.handler(args, cfg)
     except (AccuracyUnreachable, DenominatorPole, PoleError, WindowExhausted, ZeroDenominator) as exc:
         sys.stderr.write(f"accuracy failure: {exc}\n")
         return 2
-    except AngleTooLarge as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (AngleTooLarge, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

@@ -2,7 +2,7 @@
 
 Precedence is defaults < config file < explicit command-line flags.  The
 config file uses the long flag names (without leading dashes) as keys;
-its path comes from the ETALAB_CONFIG environment variable.
+its path comes from ETALAB_CONFIG.  Values from any source pass errors.py.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .errors import MAX_N, check_at_least, check_in, check_target
+
 ENV_CONFIG = "ETALAB_CONFIG"
 
 
@@ -20,7 +22,7 @@ class RunConfig:
     precision: float = 1e-9  # CLI-facing oracle target; the library floor is 1e-13
     epsilon: float = 0.5
     window: int = 1000
-    ceiling: int = 10**7
+    ceiling: int = MAX_N
     grid_alpha_from: float = 0.0
     grid_alpha_to: float = 0.45
     grid_alpha_step: float = 0.05
@@ -31,9 +33,6 @@ class RunConfig:
     out: str | None = None
     cache_dir: str | None = None
     threads: int = 1
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _KEY_TO_FIELD = {f.name.replace("_", "-"): f.name for f in fields(RunConfig)}
@@ -75,6 +74,7 @@ def resolve_config(cli_values: dict) -> RunConfig:
     for field, value in cli_values.items():
         if value is not None:
             setattr(cfg, field, value)
-    if cfg.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {cfg.threads}")
+    check_at_least("threads", cfg.threads, 1)
+    check_target(cfg.precision)
+    check_in("format", cfg.format, "{csv, json}")
     return cfg

@@ -27,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError, ZeroDenominator
+from .errors import PoleError, ZeroDenominator, axis_count, check_in, check_points, check_positive
 from . import oracle
-
-TWO_PI_OVER_LN2 = 2.0 * math.pi / math.log(2.0)
 
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = (
@@ -85,31 +83,24 @@ def log_abs_gamma(s) -> float:
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PoleError(f"Gamma pole at {z.real:g}")
     if z.real < 0.5:
-        return math.log(math.pi) - _log_abs_sin(math.pi * z) - log_abs_gamma(1.0 - z)
+        return math.log(math.pi) - _log_abs_trig(cmath.sin, math.pi * z) - log_abs_gamma(1.0 - z)
     z -= 1.0
     w = z + _LANCZOS_G + 0.5
     head = (z.real + 0.5) * 0.5 * math.log(w.real**2 + w.imag**2) - z.imag * cmath.phase(w)
     return 0.5 * math.log(2.0 * math.pi) + head - w.real + math.log(abs(_lanczos_series(z)))
 
 
-def _log_abs_sin(z: complex) -> float:
-    """ln|sin(x+iy)| without overflow: |sin|^2 = sin^2 x + sinh^2 y."""
+def _log_abs_trig(fn, z: complex) -> float:
+    """ln|fn(x+iy)| for fn = cmath.sin or cmath.cos, without overflow.
+
+    |sin|^2 = sin^2 x + sinh^2 y = (cosh 2y - cos 2x)/2, which is e^(2y)/4
+    (1 - 2 cos(2x) e^(-2y) + e^(-4y)); |cos|^2 is the same with + 2 cos(2x).
+    """
     x, y = z.real, abs(z.imag)
     if y < 1.0:
-        return math.log(abs(cmath.sin(complex(x, y))))
-    # |sin(x+iy)|^2 = (cosh 2y - cos 2x)/2 = e^(2y)/4 * (1 - 2 cos(2x) e^(-2y) + e^(-4y))
+        return math.log(abs(fn(complex(x, y))))
     return y - math.log(2.0) + 0.5 * math.log1p(
-        -2.0 * math.cos(2.0 * x) * math.exp(-2.0 * y) + math.exp(-4.0 * y)
-    )
-
-
-def _log_abs_cos(z: complex) -> float:
-    """ln|cos(x+iy)| without overflow: |cos|^2 = cos^2 x + sinh^2 y."""
-    x, y = z.real, abs(z.imag)
-    if y < 1.0:
-        return math.log(abs(cmath.cos(complex(x, y))))
-    return y - math.log(2.0) + 0.5 * math.log1p(
-        2.0 * math.cos(2.0 * x) * math.exp(-2.0 * y) + math.exp(-4.0 * y)
+        (-2.0 if fn is cmath.sin else 2.0) * math.cos(2.0 * x) * math.exp(-2.0 * y) + math.exp(-4.0 * y)
     )
 
 
@@ -138,9 +129,9 @@ def two_power_factor(s) -> complex:
 def functional_ratio(s) -> FunctionalRatio:
     """P(s) as the product of its four factors, for 0 < Re(s) < 1 and |t| <= 200."""
     z = complex(s)
+    check_points(z.real, z.imag)  # |t| <= 200 keeps the factors in range
     if not (0.0 < z.real < 1.0):
         raise ValueError(f"functional ratio needs 0 < Re(s) < 1, got {z.real}")
-    oracle._validate(z.real, z.imag, oracle.TARGET_FLOOR)  # |t| <= 200 keeps the factors in range
     f_two = two_power_factor(z)
     f_exp = 2.0 * (2.0 * math.pi) ** (-z)
     f_cos = cmath.cos(0.5 * math.pi * z)
@@ -157,7 +148,7 @@ def functional_ratio_modulus(s) -> float:
         math.log(abs(two_power_factor(z)))
         + math.log(2.0)
         - z.real * math.log(2.0 * math.pi)
-        + _log_abs_cos(0.5 * math.pi * z)
+        + _log_abs_trig(cmath.cos, 0.5 * math.pi * z)
         + log_abs_gamma(z)
     )
     return math.exp(log_mod)
@@ -165,8 +156,7 @@ def functional_ratio_modulus(s) -> float:
 
 def critical_line_deviation(t: float) -> float:
     """| |P(1/2 + it)| - 1 |; zero in exact arithmetic for every t."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    check_positive("t", t)
     return abs(abs(functional_ratio(complex(0.5, t)).value) - 1.0)
 
 
@@ -180,20 +170,14 @@ class ConjectureBounds:
     upper: float
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 <= alpha < 0.5):
-        raise ValueError(f"alpha must lie in [0, 1/2), got {alpha}")
-
-
 def conjecture_bounds(alpha: float, t: float) -> ConjectureBounds:
     """Bounds (1-2a)/(1+2a) * (8 pi / 9t)^a <= ratio <= (8 pi / 9t)^a.
 
     Stated for t >= 2 pi + 1; evaluation below that is allowed but has
     informational status only.
     """
-    _check_alpha(alpha)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    check_in("alpha", alpha, "[0, 1/2)")
+    check_positive("t", t)
     upper = (8.0 * math.pi / (9.0 * t)) ** alpha
     lower = (1.0 - 2.0 * alpha) / (1.0 + 2.0 * alpha) * upper
     return ConjectureBounds(alpha, t, lower, upper)
@@ -221,22 +205,17 @@ def approx_deviation_scan(which: str, grid_step: float = 1e-4) -> ApproxDeviatio
     count of grid points where the inequality direction fails (beyond a
     4-ulp rounding allowance).
     """
-    from .scans import MAX_SCAN_POINTS  # imported here: scans imports this module
-
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
+    axis_count(0, 0.5, grid_step, "grid")  # the samples <= 0.5; the arange below may add 0.5
     if grid_step > 1e-4:
         raise ValueError(f"grid_step must be <= 1e-4, got {grid_step}")
-    if math.ceil((0.5 + 0.5 * grid_step) / grid_step) > MAX_SCAN_POINTS:  # the length of the arange below
-        raise ValueError(f"grid_step {grid_step} gives more than {MAX_SCAN_POINTS} points on [0, 0.5]")
     sigma = np.arange(0.0, 0.5 + 0.5 * grid_step, grid_step)
     sigma[-1] = 0.5
     if which == "upper-approx":
         dev = (4.0 / 9.0) ** (0.5 - sigma) - (1.0 + 2.0**sigma) / (1.0 + 2.0 ** (1.0 - sigma))
     elif which == "lower-approx":
         two_ratio = np.ones_like(sigma)
-        inner = sigma[(sigma > 0.0) & (sigma < 0.5)]
         mask = (sigma > 0.0) & (sigma < 0.5)
+        inner = sigma[mask]
         two_ratio[mask] = (1.0 - 2.0**inner) / (1.0 - 2.0 ** (1.0 - inner))
         two_ratio[sigma == 0.0] = 0.0
         dev = two_ratio - sigma / (1.0 - sigma) * (4.0 / 9.0) ** (0.5 - sigma)

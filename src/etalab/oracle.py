@@ -16,14 +16,15 @@ the 1e-13 target floor on sigma in (0,1), |t| <= 200.  Values with
 |value| below ten times the bound are flagged zero-indistinguishable.
 
 Every evaluation is batched: :func:`eta_many` takes arrays of sigmas
-and ts, and :func:`eta` is its one-point case.  Points are grouped by
-term count; within a group, each row of points with one |t| shares the
-phases e^(-i |t| ln k), which call libm at odd k only and take the
-phase at k = 2m as e^(-i |t| ln 2) times the one at m.  Rows with the
-same sigmas share the weighted moduli w_k k^(-sigma), and a block's
-real and imaginary sums are two real longdouble contractions of the
-phases with them.  A value and its bound do not depend on the batch
-they came in, and working memory stays under fixed block sizes.
+and ts, checked by errors.check_points, and :func:`eta` is its one-point
+case.  Points are grouped by term count; within a group, each row of
+points with one |t| shares the phases e^(-i |t| ln k), which call libm
+at odd k only and take the phase at k = 2m as e^(-i |t| ln 2) times the
+one at m.  Rows with the same sigmas share the weighted moduli
+w_k k^(-sigma), and a block's real and imaginary sums are two real
+longdouble contractions of the phases with them.  A value and its bound
+do not depend on the batch they came in, and working memory stays
+under fixed block sizes.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyUnreachable, DenominatorPole
+from .errors import MAX_IM, TARGET_FLOOR, AccuracyUnreachable, DenominatorPole, check_at_least, check_points
 from .series import partial_sum
 
-TARGET_FLOOR = 1e-13
-MAX_IM = 200.0
 ZERO_INDISTINGUISHABLE_FACTOR = 10.0
 
 _LD = np.longdouble
@@ -91,41 +90,6 @@ class RemainderRecord:
     n: int
     value: complex
     magnitude: float
-
-
-def _check_target(target_error: float) -> None:
-    if not math.isfinite(target_error):
-        raise ValueError(f"target_error must be finite, got {target_error}")
-    if target_error < TARGET_FLOOR:
-        raise ValueError(f"target_error must be >= {TARGET_FLOOR:g}")
-
-
-def _check_point(s: complex) -> None:
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise ValueError(f"eta oracle requires finite s, got {s}")
-    if s.real <= 0.0:
-        raise ValueError(f"eta oracle requires Re(s) > 0, got {s.real}")
-
-
-def _validate(sigmas, ts, target_error: float):
-    """The oracle's one validator; returns sigmas and ts broadcast together.
-
-    The first bad point in C order is reported, and the checks run in
-    the order a one-point call makes them: finite s, Re(s) > 0, then
-    target_error (finite and >= TARGET_FLOOR), then |Im(s)| <= MAX_IM.
-    The returned arrays are broadcast views, not copies.
-    """
-    sig, t = np.broadcast_arrays(np.asarray(sigmas, dtype=np.float64), np.asarray(ts, dtype=np.float64))
-    # NaN fails every comparison, so this also rejects non-finite input
-    bad = np.flatnonzero(~((sig > 0.0) & (sig < math.inf) & (np.abs(t) <= MAX_IM)))
-    if bad.size and bad[0] == 0:
-        _check_point(complex(sig.flat[0], t.flat[0]))
-    _check_target(target_error)
-    if bad.size:
-        s = complex(sig.flat[bad[0]], t.flat[bad[0]])
-        _check_point(s)
-        raise ValueError(f"|Im(s)| = {abs(s.imag):g} outside the supported range <= {MAX_IM:g}")
-    return sig, t
 
 
 def _leading(mask) -> int:
@@ -280,12 +244,12 @@ def eta_many(sigmas, ts, target_error: float = TARGET_FLOOR, max_terms: int = 40
 
     Returns (values, bounds): complex128 and float64 arrays of the
     broadcast shape with |value - eta| <= bound <= target_error, each
-    pair bit-identical to a one-point call.  The points are validated
-    first, then certified in C-order chunks of _CHUNK points, so
-    AccuracyUnreachable names the first point in C order whose term
-    count exceeds max_terms or whose bound exceeds target_error.
+    pair bit-identical to a one-point call.  The points are checked
+    (errors.check_points), then certified in C-order chunks of _CHUNK
+    points, so AccuracyUnreachable names the first point in C order
+    whose term count exceeds max_terms or whose bound exceeds target_error.
     """
-    sig, t = _validate(sigmas, ts, target_error)
+    sig, t = check_points(sigmas, ts, target_error)
     values = np.empty(sig.size, dtype=np.complex128)
     bounds = np.empty(sig.size)
     for lo in range(0, sig.size, _CHUNK):
@@ -352,8 +316,7 @@ def zeta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleV
 
 def remainder(n: int, s, target_error: float = TARGET_FLOOR) -> RemainderRecord:
     """R_n(s) = eta(s) - S_n(s); n = 0 returns eta(s) itself."""
-    if n < 0:
-        raise ValueError(f"remainder index must be >= 0, got {n}")
+    check_at_least("remainder index", n, 0)
     value = eta(s, target_error).value - partial_sum(n, s)
     return RemainderRecord(n, value, abs(value))
 

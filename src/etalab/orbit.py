@@ -25,10 +25,9 @@ stable run of configurable length: a start is the last failing index
 before the first run of `window` consecutive passes.  One sweep in
 blocks up to a ceiling tracks the margin, the shrunk-disk containment
 or both, and stops at the block where the last run completes.
-Points are validated as the oracle validates its own (finite,
-sigma > 0, |t| <= 200) before any sweep.  The nesting start grows like
-t^2 / (2 sigma), so scans near the left strip edge take longer and may
-hit the ceiling.
+Points pass the oracle's point rule, errors.check_points, before any
+sweep.  The nesting start grows like t^2 / (2 sigma), so scans near the
+left strip edge take longer and may hit the ceiling.
 """
 
 from __future__ import annotations
@@ -39,12 +38,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AngleTooLarge, WindowExhausted
+from .errors import AccuracyUnreachable, AngleTooLarge, WindowExhausted
+from .errors import MAX_N, check_at_least, check_conjugated, check_in, check_points
 from .series import partial_sum_path
 from . import oracle
 
 DEFAULT_WINDOW = 1000
-DEFAULT_CEILING = 10**7
+DEFAULT_CEILING = MAX_N
 _SCAN_BLOCK = 1 << 12  # indices per kernel call; its temporaries stay in cache
 
 
@@ -80,8 +80,7 @@ def angle_threshold(t: float) -> int:
     t below about 0.0022); t = 0 degenerates to 1 too (all turn angles
     vanish).
     """
-    if t < 0:
-        raise ValueError("angle_threshold is defined for t >= 0; conjugate first")
+    check_conjugated("angle_threshold", t)
     if t <= 1.0:
         return 1
     return math.ceil(1.0 / math.expm1(math.pi / (2.0 * t)))
@@ -151,26 +150,15 @@ def _nests(g: _Geometry, scale: float) -> np.ndarray:
     return np.hypot(g.gx, g.gy) < scale * g.rgap
 
 
-def _point(s) -> tuple[float, float]:
-    """(sigma, |t|) of s, validated by the oracle's validator."""
-    s = complex(s)
-    oracle._validate(s.real, s.imag, oracle.TARGET_FLOOR)
-    return s.real, abs(s.imag)
-
-
 def _at(n, s, **parts) -> _Geometry:
     """The geometry, with p1, at a scalar index or an index array of s."""
-    sigma, t = _point(s)
+    s = complex(s)
+    check_points(s.real, s.imag)
+    sigma, t = s.real, abs(s.imag)
     arr = np.atleast_1d(np.asarray(n, dtype=np.float64))
     if arr.min() < (lo := angle_threshold(t)):
         raise AngleTooLarge(f"the disk geometry needs n >= {lo} at t = {t:g}, got {int(arr.min())}")
     return _geometry(arr, sigma, t, lengths=True, **parts)
-
-
-def _scale(scale: float) -> float:
-    if not (0.0 < scale <= 1.0):
-        raise ValueError(f"scale must lie in (0, 1], got {scale}")
-    return scale
 
 
 def nesting_margin(n, s):
@@ -202,12 +190,12 @@ def _run_end(good: np.ndarray, lo: int, window: int, last_bad: int, flips: int):
     return lo + int(edges[k]), flips + int(np.count_nonzero(streaks[:k])), bool(done.size)
 
 
-def _stable_run_start(sigma, t, window, ceiling, margin=True, scale=None):
+def _stable_run_start(s, window, ceiling, margin=True, scale=None):
     """Last failing index before the first run of `window` consecutive passes.
 
-    Sweeps "margin > 0" if `margin` and "the disks shrunk by scale nest"
-    if `scale` is given, from angle_threshold(t) in blocks, one kernel
-    call each; the region below the threshold counts as failing.  A
+    Checks s and window, then sweeps "margin > 0" if `margin` and "the
+    disks shrunk by scale nest" if `scale` is given, from angle_threshold
+    (|t|) in blocks, one kernel call each; below it counts as failing.  A
     predicate leaves the sweep at the block where its run completes and
     its result is read at that run, so neither depends on the block
     size or on the other predicate.  Returns one (index, flips) pair
@@ -215,8 +203,10 @@ def _stable_run_start(sigma, t, window, ceiling, margin=True, scale=None):
     index.  Raises WindowExhausted when a run does not fit below the
     ceiling.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    s = complex(s)
+    check_points(s.real, s.imag)
+    check_at_least("window", window, 1)
+    sigma, t = s.real, abs(s.imag)
     tests = {"bracket": lambda g: g.bracket > 0.0} if margin else {}
     if scale is not None:
         tests["disks"] = lambda g: _nests(g, scale)
@@ -244,14 +234,14 @@ def nesting_start(s, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILIN
     Returns angle_threshold(t) - 1 when the margin is positive from the
     threshold onward (0 in the degenerate t = 0 case).
     """
-    [(idx, _)] = _stable_run_start(*_point(s), window, ceiling)
+    [(idx, _)] = _stable_run_start(s, window, ceiling)
     return idx
 
 
 def containment_start(s, scale: float, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILING) -> int:
     """Largest index where scale-shrunk disks fail to nest, stable beyond."""
-    scale = _scale(scale)
-    [(idx, _)] = _stable_run_start(*_point(s), window, ceiling, margin=False, scale=scale)
+    check_in("scale", scale, "(0, 1]")
+    [(idx, _)] = _stable_run_start(s, window, ceiling, margin=False, scale=scale)
     return idx
 
 
@@ -265,11 +255,9 @@ def orbit_diagnostics(
     eps-disk, hence at distance >= (1-eps) * radius from the segment
     endpoint.  The containment predicate therefore runs at scale = epsilon.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    sigma, t = _point(s)
-    (n_o, flips), (j, _) = _stable_run_start(sigma, t, window, ceiling, scale=epsilon)
-    return OrbitDiagnostics(angle_threshold(t), n_o, j, max(n_o, j), epsilon, window, flips)
+    check_in("epsilon", epsilon, "(0, 1)")
+    (n_o, flips), (j, _) = _stable_run_start(s, window, ceiling, scale=epsilon)
+    return OrbitDiagnostics(angle_threshold(abs(complex(s).imag)), n_o, j, max(n_o, j), epsilon, window, flips)
 
 
 def sandwich_report(
@@ -284,7 +272,9 @@ def sandwich_report(
 
     n_from must exceed the sandwich start; pass precomputed diagnostics
     to skip the rescan.  Measured magnitudes come from one oracle value
-    of eta(s) minus streamed partial sums.
+    of eta(s) minus streamed partial sums.  Raises AccuracyUnreachable
+    before summing unless the lower bound at n_to exceeds 2 B + 2 eps |eta|,
+    B the oracle's bound: below that, |R_n| is rounding noise.
     """
     s = complex(s)
     if diagnostics is None:
@@ -296,10 +286,16 @@ def sandwich_report(
         )
     if n_to < n_from:
         raise ValueError("empty range")
-    eta_value = oracle.eta(s, target_error).value
+    eta = oracle.eta(s, target_error)
+    noise = 2.0 * (eta.abs_error_bound + np.finfo(np.float64).eps * eta.magnitude)
+    least = 0.5 * (1.0 - epsilon) * n_to**-s.real  # the smallest lower bound of the range
+    if not least > noise:
+        raise AccuracyUnreachable(
+            f"sandwich undecidable at s = {s}, n = {n_to}: lower bound {least:.3e} <= noise {noise:.3e}"
+        )
     sums = partial_sum_path(s, n_to, n_from=n_from)
     n = np.arange(n_from, n_to + 1, dtype=np.float64)
-    measured = np.abs(eta_value - sums)
+    measured = np.abs(eta.value - sums)
     lower = (1.0 - epsilon) / (2.0 * n**s.real)
     upper = n ** -s.real
     return [

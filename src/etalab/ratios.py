@@ -30,13 +30,12 @@ looser threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections import Counter
 
 import numpy as np
 
-from .errors import ZeroDenominator
+from .errors import ZeroDenominator, check_at_least, check_ceiling, check_n_from, check_positive
 from .series import _sum_blocks
 from . import functional
 from . import orbit
@@ -72,21 +71,6 @@ class EnvelopeReport:
     run_lengths: dict[int, int]
 
 
-def _check_pair(n_max: int) -> None:
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-
-
-def _check_ceiling(n_max: int) -> None:
-    if n_max > orbit.DEFAULT_CEILING:
-        raise ValueError(f"n_max must be <= {orbit.DEFAULT_CEILING:g}")
-
-
-def _check_threshold(threshold: float) -> None:
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValueError(f"zero-sum threshold must be finite and positive, got {threshold}")
-
-
 def sum_ratio_path(
     s, n_max: int, threshold: float = ZERO_SUM_THRESHOLD, n_from: int = 1, on_block=None
 ):
@@ -100,13 +84,12 @@ def sum_ratio_path(
     |S_n(s)| for the indices lo, lo + 1, ... of every block of the pass,
     which is how a report collects zero-sum events in the same pass.
     """
-    _check_threshold(threshold)
-    if not 1 <= n_from <= max(n_max, 1):
-        raise ValueError(f"need 1 <= n_from <= n_max, got n_from = {n_from}, n_max = {n_max}")
+    check_positive("zero-sum threshold", threshold)
+    check_n_from(n_from, n_max)
     s = complex(s)
     ratios = np.empty(n_max - n_from + 1, dtype=np.complex128)
     mags = np.empty(ratios.size)
-    for lo, _, (num, den), _ in _sum_blocks((1.0 - s.real, s.real), s.imag, n_max):
+    for lo, (num, den), _ in _sum_blocks((1.0 - s.real, s.real), s.imag, n_max):
         mag = np.abs(den)
         if on_block is not None:
             on_block(lo, mag)
@@ -141,13 +124,13 @@ def detect_zero_sums(
     event can be a true zero, so a flagged count above one at a tight
     threshold indicates the threshold is too loose for the point.
     """
-    _check_ceiling(n_max)
-    _check_threshold(threshold)
+    check_ceiling(n_max)
+    check_positive("zero-sum threshold", threshold)
     s = complex(s)
     if nesting_index is None:
         nesting_index = orbit.nesting_start(s)
     events: list[ZeroSumEvent] = []
-    for lo, _, (sums,), _ in _sum_blocks((s.real,), s.imag, n_max):
+    for lo, (sums,), _ in _sum_blocks((s.real,), s.imag, n_max):
         events += _zero_events(np.abs(sums), lo, threshold, nesting_index)
     return events
 
@@ -175,7 +158,7 @@ def limit_estimate(
     The residual is the final odd-even gap; the zero flag marks an
     estimate indistinguishable from the eta(s) = 0 branch of the limit.
     """
-    _check_pair(n_max)
+    check_at_least("n_max", n_max, 2)
     ratios, mag, _ = sum_ratio_path(s, n_max, threshold, n_from=n_max - 1)
     return _limit(ratios, mag, n_max, tol)
 

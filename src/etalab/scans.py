@@ -4,9 +4,8 @@ The scanned quantity is |eta(1/2 + alpha + it) / eta(1/2 - alpha + it)|,
 which equals |P(1/2 - alpha + it)| wherever the denominator is away
 from zero.  Scans run serially; rows are assembled in (t, alpha) order,
 and each scan makes one batched oracle call for its whole axis product.
-Every axis is validated by ``_axis_count``: finite bounds, a finite
-positive step, and at most ``MAX_SCAN_POINTS`` samples, checked before
-anything is allocated.
+Every axis passes errors.axis_count (finite bounds, a finite positive
+step, at most MAX_SCAN_POINTS samples) before anything is allocated.
 """
 
 from __future__ import annotations
@@ -16,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MAX_IM, MAX_SCAN_POINTS, axis_count, check_grid_size
+from .errors import check_finite, check_im, check_in, check_points
 from . import functional
 from . import oracle
 
 PI_OVER_LN2 = math.pi / math.log(2.0)
-MAX_SCAN_POINTS = 10**6  # per axis and per grid; the default grid has 4510
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,9 @@ class ScanGrid:
     def __post_init__(self):
         if not (0.0 <= self.alpha_from <= self.alpha_to < 0.5):
             raise ValueError("alpha range must satisfy 0 <= from <= to < 1/2")
-        if not (0.0 < self.t_from <= self.t_to <= 200.0):
-            raise ValueError("t range must satisfy 0 < from <= to <= 200")
-        if self.cardinality > MAX_SCAN_POINTS:
-            raise ValueError(f"grid has {self.cardinality} points, more than {MAX_SCAN_POINTS}")
+        if not (0.0 < self.t_from <= self.t_to <= MAX_IM):
+            raise ValueError(f"t range must satisfy 0 < from <= to <= {MAX_IM:g}")
+        check_grid_size(self.cardinality)
 
     def alphas(self) -> np.ndarray:
         return _axis(self.alpha_from, self.alpha_to, self.alpha_step, "alpha")
@@ -48,24 +47,12 @@ class ScanGrid:
 
     @property
     def cardinality(self) -> int:
-        return (_axis_count(self.alpha_from, self.alpha_to, self.alpha_step, "alpha")
-                * _axis_count(self.t_from, self.t_to, self.t_step, "t"))
-
-
-def _axis_count(lo: float, hi: float, step: float, name: str) -> int:
-    """Number of samples lo + k*step <= hi; rejects axes no scan can run."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"{name} axis needs finite bounds with from <= to, got {lo} to {hi}")
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"{name}_step must be finite and positive, got {step}")
-    span = (hi - lo) / step + 1e-9
-    if not span < MAX_SCAN_POINTS:
-        raise ValueError(f"{name}_step {step} gives more than {MAX_SCAN_POINTS} points on [{lo}, {hi}]")
-    return int(math.floor(span)) + 1
+        return (axis_count(self.alpha_from, self.alpha_to, self.alpha_step, "alpha")
+                * axis_count(self.t_from, self.t_to, self.t_step, "t"))
 
 
 def _axis(lo: float, hi: float, step: float, name: str = "t") -> np.ndarray:
-    return lo + step * np.arange(_axis_count(lo, hi, step, name))
+    return lo + step * np.arange(axis_count(lo, hi, step, name))
 
 
 @dataclass(frozen=True)
@@ -168,9 +155,8 @@ class MonotonicityReport:
 
 def scan_monotonicity(t: float, alpha_grid) -> MonotonicityReport:
     """Strict decrease of |P(1/2 - alpha + it)| along an ascending grid."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    oracle._validate(0.5, t, oracle.TARGET_FLOOR)  # |t| <= MAX_IM
+    check_finite("t", t)
+    check_im(abs(t))
     alphas = [float(a) for a in alpha_grid]
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be strictly ascending")
@@ -216,12 +202,12 @@ def extrema_structure(
     alpha = 0 the ratio is identically 1: the axis is validated and
     nothing is evaluated.
     """
-    functional._check_alpha(alpha)
+    check_in("alpha", alpha, "[0, 1/2)")
     if t_step > 0.01:
         raise ValueError(f"t_step must be <= 0.01 to resolve extrema, got {t_step}")
     ts = _axis(t_from, t_to, t_step)
     if alpha == 0.0:  # the ratio is identically 1: validate, evaluate nothing
-        oracle._validate(0.5, ts, target_error)
+        check_points(0.5, ts, target_error)
         return ExtremaReport(alpha, [], [], 2.0 * PI_OVER_LN2, t_from, t_to)
     vals = _mirrored_ratios([alpha], ts, target_error)[0][:, 0]
     smooth = np.convolve(vals, np.ones(3) / 3.0, mode="same")

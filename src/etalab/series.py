@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_at_least, check_conjugated, check_n_from
+
 _BLOCK = 1 << 16
 
 
@@ -43,22 +45,20 @@ class Segment:
 
 def turn_angle(n: int, t: float) -> float:
     """Angle t ln((n+1)/n) between segment n+1 and segment n, for t >= 0."""
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    if t < 0:
-        raise ValueError("turn_angle is defined for t >= 0; conjugate first")
+    check_at_least("index", n, 1)
+    check_conjugated("turn_angle", t)
     return t * math.log1p(1.0 / n)
 
 
 def _sum_blocks(sigmas: tuple[float, ...], t: float, n_max: int):
     """The summation kernel: S_n(sigma + i t) for every sigma in lockstep.
 
-    Yields (lo, terms, sums, totals) for consecutive blocks of indices
+    Yields (lo, sums, totals) for consecutive blocks of indices
     lo .. lo + len - 1 up to n_max.  Per block, ln n and the alternating
     phase e^(-i |t| ln n) are computed once, in place in one complex
-    block, and shared by all sigmas.  terms[k] is the block of series
-    terms at sigmas[k], and sums[k] the block of S_n: the running total
-    of the earlier blocks plus a plain cumulative sum within this one.
+    block, and shared by all sigmas.  sums[k] is the block of S_n at
+    sigmas[k]: the running total of the earlier blocks plus a plain
+    cumulative sum of the block's terms, taken in place over them.
     The running total itself is carried with compensation, and totals[k]
     is its value past the block's end, so the block size fixes the bits.
     For t < 0 everything is conjugated.
@@ -74,10 +74,10 @@ def _sum_blocks(sigmas: tuple[float, ...], t: float, n_max: int):
         phase = -1j * t_abs * ln
         np.exp(phase, out=phase)
         phase[lo % 2 :: 2] *= -1.0  # even n carries the alternating minus
-        terms = [np.exp(-sigma * ln) * phase for sigma in sigmas]
         sums = []
-        for k, term in enumerate(terms):
-            cum = np.cumsum(term)
+        for k, sigma in enumerate(sigmas):
+            cum = np.exp(-sigma * ln) * phase  # the terms, then their sums
+            np.cumsum(cum, out=cum)
             value = cum[-1] + carries[k]
             cum += bases[k]
             total = bases[k] + value
@@ -85,17 +85,16 @@ def _sum_blocks(sigmas: tuple[float, ...], t: float, n_max: int):
             bases[k] = total
             sums.append(cum)
         if t < 0:
-            for block in (*terms, *sums):
+            for block in sums:
                 np.conjugate(block, out=block)
-            yield lo, terms, sums, [b.conjugate() for b in bases]
+            yield lo, sums, [b.conjugate() for b in bases]
         else:
-            yield lo, terms, sums, list(bases)
+            yield lo, sums, list(bases)
 
 
 def partial_sum(n: int, s) -> complex:
     """S_n(s): the compensated total after the kernel's last block."""
-    if n < 0:
-        raise ValueError(f"partial sum index must be >= 0, got {n}")
+    check_at_least("partial sum index", n, 0)
     if n == 0:
         return 0.0 + 0.0j
     s = complex(s)
@@ -112,15 +111,12 @@ def partial_sum_path(s, n_max: int, stride: int = 1, n_from: int = 1) -> np.ndar
     kept index plus a few blocks, so a strided export or a late window
     never holds the whole path.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if not 1 <= n_from <= n_max:
-        raise ValueError(f"need 1 <= n_from <= n_max, got n_from = {n_from}, n_max = {n_max}")
+    check_at_least("stride", stride, 1)
+    check_at_least("n_max", n_max, 1)
+    check_n_from(n_from, n_max)
     s = complex(s)
     path = np.empty(len(range(n_from, n_max + 1, stride)), dtype=np.complex128)
-    for lo, _, (sums,), _ in _sum_blocks((s.real,), s.imag, n_max):
+    for lo, (sums,), _ in _sum_blocks((s.real,), s.imag, n_max):
         start = max(lo, n_from)
         first = start - lo + (n_from - start) % stride  # offset of the block's first kept index
         kept = sums[first::stride]

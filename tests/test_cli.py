@@ -622,6 +622,53 @@ class TestInvalidInput:
             assert err == f"error: zero-sum threshold must be finite and positive, got {float(threshold)}\n"
             assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("ratio", "--sigma", "0.3", "--t", "20", "--n-max", "100", "--precision", "nan"),
+        ("ratio", "--sigma", "0.3", "--t", "20", "--n-max", "100", "--precision", "-5"),
+        ("approx-deviation", "--precision", "nan"),
+        ("path-export", "--sigma", "0.3", "--t", "20", "--n-max", "10", "--precision", "nan"),
+    ], ids=" ".join)
+    def test_precision_refused_by_every_subcommand(self, capsys, argv):
+        # none of these runs the oracle on the precision: the configuration refuses it
+        message = ("error: target_error must be >= 1e-13\n" if argv[-1] == "-5"
+                   else "error: target_error must be finite, got nan\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message)
+
+    def test_format_config_key_outside_the_choices(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "etalab.conf"
+        cfg.write_text("format=xml\n")
+        monkeypatch.setenv("ETALAB_CONFIG", str(cfg))
+        for argv in (("eta", "--sigma", "0.5", "--t", "5"), ("approx-deviation",)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", "error: format must lie in {csv, json}, got xml\n")
+
+    def test_undecidable_sandwich_refused_before_the_sums(self, capsys, monkeypatch):
+        # at sigma = 8 the lower bound (1-eps)/(2 n^sigma) near n = 100 is about
+        # 1e-17, below the oracle's bound: |R_n| there is rounding noise
+        from etalab import orbit
+
+        def summed(*args, **kwargs):
+            raise AssertionError("summed an undecidable sandwich")
+
+        monkeypatch.setattr(orbit, "partial_sum_path", summed)
+        for argv in (("sandwich", "--sigma", "8", "--t", "5", "--n-max", "100"),
+                     ("orbit", "--sigma", "21", "--t", "5")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("accuracy failure: sandwich undecidable at s = (")
+            assert err.count("\n") == 1
+
+    def test_decidable_sandwich_at_large_sigma_still_holds(self, capsys):
+        # at sigma = 5 the smallest lower bound, 1.6e-11, is far above the noise
+        code, out, err = run(capsys, "sandwich", "--sigma", "5", "--t", "5", "--n-max", "100")
+        assert code == 0
+        assert err == "sandwich holds on (9, 109] at epsilon = 0.5\n"
+        lines = out.splitlines()
+        assert len(lines) == 101 and lines[1].startswith("10,2.5e-06,")
+        assert all(line.endswith(",true") for line in lines[1:])
+
 
 class TestSmallT:
     """At 0 < |t| below about 0.0022 the angle threshold is 1, not an overflow."""
