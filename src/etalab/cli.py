@@ -10,7 +10,9 @@ is byte-deterministic for a given configuration.  Scans run serially;
 --threads is accepted (and must be >= 1) for compatibility only.
 
 A call builds the parser of its own subcommand only; --help, a missing
-or an unknown subcommand builds all of them.
+or an unknown subcommand builds all of them.  A scan records one dict as
+its JSON config and hashes it, with the command, into its cache key: the
+precision, the scan kind and the axes that kind reads.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .errors import (
     PoleError,
     WindowExhausted,
     ZeroDenominator,
+    axis,
+    check_alpha_range,
     check_at_least,
     check_ceiling,
     check_points,
@@ -184,7 +188,7 @@ def cmd_path_export(args, cfg: RunConfig) -> int:
 
 def cmd_orbit(args, cfg: RunConfig) -> int:
     s = complex(args.sigma, args.t)
-    diag = orbit.orbit_diagnostics(s, cfg.epsilon, cfg.window, cfg.ceiling)
+    diag = orbit.orbit_diagnostics(s, cfg.epsilon, cfg.window)
     first_positive = max(diag.nesting_start + 1, diag.acute_start)
     spot = orbit.sandwich_report(
         s, cfg.epsilon, diag.sandwich_start + 1, diag.sandwich_start + 100,
@@ -216,7 +220,7 @@ def cmd_sandwich(args, cfg: RunConfig) -> int:
     s = complex(args.sigma, args.t)
     check_ceiling(args.n_max)  # the report holds a path of n_max indices and more
     check_at_least("n_max", args.n_max, 1)
-    diag = orbit.orbit_diagnostics(s, cfg.epsilon, cfg.window, cfg.ceiling)
+    diag = orbit.orbit_diagnostics(s, cfg.epsilon, cfg.window)
     start = diag.sandwich_start + 1
     report = orbit.sandwich_report(
         s, cfg.epsilon, start, start + args.n_max - 1, cfg.precision, diag
@@ -233,7 +237,8 @@ def cmd_sandwich(args, cfg: RunConfig) -> int:
         rows = [row + extra for row, extra in zip(rows, columns)]
         header.extend(["gap_exact", "gap_leading", "gap_ratio",
                        "shrunk_exact", "shrunk_leading", "shrunk_ratio"])
-    config = _scan_config(cfg, sigma=s.real, t=s.imag, n_max=args.n_max)
+    config = {"precision": cfg.precision, "epsilon": cfg.epsilon, "window": cfg.window,
+              "sigma": s.real, "t": s.imag, "n_max": args.n_max}
     _deliver(_table(cfg, "sandwich", config, header, rows), cfg.out)
     failures = [rec for rec in report if not rec.holds]
     if failures:
@@ -297,29 +302,15 @@ def cmd_ratio(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _scan_config(cfg: RunConfig, **extra) -> dict:
-    base = {
-        "precision": cfg.precision,
-        "epsilon": cfg.epsilon,
-        "window": cfg.window,
-    }
-    base.update(extra)
-    return base
-
-
-def _grid(cfg: RunConfig, args) -> scans.ScanGrid:
+def cmd_scan(args, cfg: RunConfig) -> int:
+    cache = CacheStore(cfg.cache_dir) if cfg.cache_dir else None
     alpha_axis = (cfg.grid_alpha_from, cfg.grid_alpha_to, cfg.grid_alpha_step)
     if args.alpha is not None:
         # one-point alpha axis; any positive step yields a single value
         alpha_axis = (args.alpha, args.alpha, 1.0)
-    return scans.ScanGrid(*alpha_axis, cfg.grid_t_from, cfg.grid_t_to, cfg.grid_t_step)
-
-
-def cmd_scan(args, cfg: RunConfig) -> int:
-    cache = CacheStore(cfg.cache_dir) if cfg.cache_dir else None
 
     if args.which == "conjecture":
-        grid = _grid(cfg, args)
+        grid = scans.ScanGrid(*alpha_axis, cfg.grid_t_from, cfg.grid_t_to, cfg.grid_t_step)
         extra = {"grid": [grid.alpha_from, grid.alpha_to, grid.alpha_step,
                           grid.t_from, grid.t_to, grid.t_step]}
         header = ("alpha", "t", "ratio", "lower", "upper", "pass_lower", "pass_upper")
@@ -340,12 +331,9 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 
         def verify_row(fields) -> bool:
             alpha, t = float(fields[0]), float(fields[1])
-            rec = scans._bound_check(alpha, t, *scans._mirrored_ratio(alpha, t, cfg.precision))
-            if not isinstance(rec, scans.BoundCheckRecord):
-                return False
-            recomputed = (rec.ratio, rec.lower, rec.upper)
+            point = scans.scan_conjecture(scans.ScanGrid(alpha, alpha, 1.0, t, t, 1.0), cfg.precision)
             stored = tuple(float(f) for f in fields[2:5])
-            return all(abs(a - b) <= 1e-12 for a, b in zip(recomputed, stored))
+            return [(r.ratio, r.lower, r.upper) for r in point.records] == [stored]
 
         def count_violations(rows) -> int:
             return sum("false" in row for row in rows)
@@ -353,9 +341,9 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     elif args.which == "monotonicity":
         if args.t is None:
             raise ValueError("scan --which monotonicity requires --t")
-        grid = _grid(cfg, args)
-        alphas = [float(a) for a in grid.alphas()]
-        extra = {"t": args.t, "grid": [grid.alpha_from, grid.alpha_to, grid.alpha_step]}
+        check_alpha_range(*alpha_axis[:2])
+        alphas = axis(*alpha_axis, "alpha").tolist()
+        extra = {"t": args.t, "grid": list(alpha_axis)}
         header = ("alpha", "modulus")
 
         def table():
@@ -364,9 +352,8 @@ def cmd_scan(args, cfg: RunConfig) -> int:
             return list(zip(alphas, report.values)), violations, []
 
         def verify_row(fields) -> bool:
-            alpha = float(fields[0])
-            value = functional.functional_ratio_modulus(complex(0.5 - alpha, args.t))
-            return abs(value - float(fields[1])) <= 1e-12
+            s = complex(0.5 - float(fields[0]), args.t)
+            return functional.functional_ratio_modulus(s) == float(fields[1])
 
         def count_violations(rows) -> int:
             values = [float(row[1]) for row in rows]
@@ -389,19 +376,22 @@ def cmd_scan(args, cfg: RunConfig) -> int:
             return rows, [], []
 
         def verify_row(fields) -> bool:
-            ratio, *_ = scans._mirrored_ratio(args.alpha, float(fields[1]), cfg.precision)
-            return abs(ratio - float(fields[2])) <= 1e-12
+            # the axis may reach t <= 0, where a conjecture scan has no bounds
+            t = float(fields[1])
+            num, den = (abs(oracle.eta(complex(sigma, t), cfg.precision).value)
+                        for sigma in (0.5 + args.alpha, 0.5 - args.alpha))
+            return num / den == float(fields[2])
 
         def count_violations(rows) -> int:
             return 0
 
+    config = {"precision": cfg.precision, "which": args.which, **extra}
+
     def compute():
         rows, violations, skipped = table()
-        config = _scan_config(cfg, which=args.which, **extra)
         return _table(cfg, "scan", config, header, rows, violations=violations, skipped=skipped), rows
 
-    params = {"command": "scan", "which": args.which, "precision": cfg.precision, **extra}
-    text, rows = _cached_scan(cache, params, cfg.format, compute, verify_row)
+    text, rows = _cached_scan(cache, {"command": "scan", **config}, cfg.format, compute, verify_row)
     _deliver(text, cfg.out)
     violations = count_violations(rows)
     if violations:
@@ -480,8 +470,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     same namespace, and prints the same help, usage and error messages,
     as the whole tree: its subcommand metavar spells out every name.
     """
-    # --help leaves out the docstring's last paragraph, which is about this
-    # parser (there is no docstring under python -OO)
+    # --help leaves out the docstring's last paragraph, which is about how
+    # this module works (there is no docstring under python -OO)
     description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
     parser = argparse.ArgumentParser(prog="etalab", description=description)
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import MAX_N, check_at_least, check_in, check_target
+from .errors import check_at_least, check_in, check_target
 
 ENV_CONFIG = "ETALAB_CONFIG"
 
@@ -22,7 +22,6 @@ class RunConfig:
     precision: float = 1e-9  # CLI-facing oracle target; the library floor is 1e-13
     epsilon: float = 0.5
     window: int = 1000
-    ceiling: int = MAX_N
     grid_alpha_from: float = 0.0
     grid_alpha_to: float = 0.45
     grid_alpha_step: float = 0.05

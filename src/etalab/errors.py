@@ -2,7 +2,8 @@
 
 Each check_* name, and axis_count, is one rule that raises ValueError
 with a fixed message, most built by _rule from a predicate; every module
-applies them before computing.  It imports no other etalab module.
+applies them before computing.  axis builds the samples of a scan axis
+that axis_count admits.  It imports no other etalab module.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ check_positive = _rule(lambda name, x: math.isfinite(x) and x > 0.0, "{name} mus
 check_im = _rule(lambda im_abs: im_abs <= MAX_IM, f"|Im(s)| = {{im_abs:g}} outside the supported range <= {MAX_IM:g}")
 check_conjugated = _rule(lambda name, t: not t < 0, "{name} is defined for t >= 0; conjugate first")
 check_grid_size = _rule(lambda size: size <= MAX_SCAN_POINTS, f"grid has {{size}} points, more than {MAX_SCAN_POINTS}")
+check_alpha_range = _rule(lambda lo, hi: 0.0 <= lo <= hi < 0.5, "alpha range must satisfy 0 <= from <= to < 1/2")
 
 
 def check_target(target_error: float) -> None:
@@ -116,3 +118,8 @@ def axis_count(lo: float, hi: float, step: float, name: str) -> int:
     if not span < MAX_SCAN_POINTS:
         raise ValueError(f"{name}_step {step} gives more than {MAX_SCAN_POINTS} points on [{lo}, {hi}]")
     return int(math.floor(span)) + 1
+
+
+def axis(lo: float, hi: float, step: float, name: str = "t") -> np.ndarray:
+    """The samples lo + k*step <= hi, k = 0, 1, ..., once axis_count admits them."""
+    return lo + step * np.arange(axis_count(lo, hi, step, name))

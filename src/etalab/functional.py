@@ -86,7 +86,7 @@ def log_abs_gamma(s) -> float:
         return math.log(math.pi) - _log_abs_trig(cmath.sin, math.pi * z) - log_abs_gamma(1.0 - z)
     z -= 1.0
     w = z + _LANCZOS_G + 0.5
-    head = (z.real + 0.5) * 0.5 * math.log(w.real**2 + w.imag**2) - z.imag * cmath.phase(w)
+    head = (z.real + 0.5) * 0.5 * math.log(w.real**2 + w.imag**2) - z.imag * math.atan2(w.imag, w.real)
     return 0.5 * math.log(2.0 * math.pi) + head - w.real + math.log(abs(_lanczos_series(z)))
 
 

@@ -309,9 +309,10 @@ def _zeta_from_eta(s: complex, e: OracleValue) -> OracleValue:
 def zeta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleValue:
     """zeta(s) = eta(s) / (1 - 2^(1-s)) with a propagated error bound."""
     s = complex(s)
+    e = eta(s, target_error, max_terms)  # checks s before the pole test reads it
     if _pole_distance(s) < 1e-9:
         raise DenominatorPole(f"s = {s} is within 1e-9 of a zero of 1 - 2^(1-s)")
-    return _zeta_from_eta(s, eta(s, target_error, max_terms))
+    return _zeta_from_eta(s, e)
 
 
 def remainder(n: int, s, target_error: float = TARGET_FLOOR) -> RemainderRecord:

@@ -4,8 +4,10 @@ The scanned quantity is |eta(1/2 + alpha + it) / eta(1/2 - alpha + it)|,
 which equals |P(1/2 - alpha + it)| wherever the denominator is away
 from zero.  Scans run serially; rows are assembled in (t, alpha) order,
 and each scan makes one batched oracle call for its whole axis product.
-Every axis passes errors.axis_count (finite bounds, a finite positive
-step, at most MAX_SCAN_POINTS samples) before anything is allocated.
+Every axis is errors.axis, which passes errors.axis_count (finite
+bounds, a finite positive step, at most MAX_SCAN_POINTS samples) before
+anything is allocated.  A one-point grid, ScanGrid(alpha, alpha, 1.0,
+t, t, 1.0), recomputes one row of a conjecture scan with the same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_IM, MAX_SCAN_POINTS, axis_count, check_grid_size
+from .errors import MAX_IM, MAX_SCAN_POINTS, axis_count, check_alpha_range, check_grid_size
+from .errors import axis as _axis  # also read as scans._axis by bench/tests
 from .errors import check_finite, check_im, check_in, check_points
 from . import functional
 from . import oracle
@@ -33,8 +36,7 @@ class ScanGrid:
     t_step: float = 0.25
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha_from <= self.alpha_to < 0.5):
-            raise ValueError("alpha range must satisfy 0 <= from <= to < 1/2")
+        check_alpha_range(self.alpha_from, self.alpha_to)
         if not (0.0 < self.t_from <= self.t_to <= MAX_IM):
             raise ValueError(f"t range must satisfy 0 < from <= to <= {MAX_IM:g}")
         check_grid_size(self.cardinality)
@@ -49,10 +51,6 @@ class ScanGrid:
     def cardinality(self) -> int:
         return (axis_count(self.alpha_from, self.alpha_to, self.alpha_step, "alpha")
                 * axis_count(self.t_from, self.t_to, self.t_step, "t"))
-
-
-def _axis(lo: float, hi: float, step: float, name: str = "t") -> np.ndarray:
-    return lo + step * np.arange(axis_count(lo, hi, step, name))
 
 
 @dataclass(frozen=True)
@@ -96,11 +94,6 @@ def _mirrored_ratios(alphas, ts, target_error: float):
     num_abs, den_abs = np.hypot(values.real, values.imag).transpose(2, 0, 1)
     ratio = np.divide(num_abs, den_abs, out=np.full(den_abs.shape, math.inf), where=values[..., 1] != 0)
     return ratio, den_abs, bounds[..., 1]
-
-
-def _mirrored_ratio(alpha: float, t: float, target_error: float):
-    """(ratio, den_abs, den_bound) of :func:`_mirrored_ratios` at one point."""
-    return tuple(float(a[0, 0]) for a in _mirrored_ratios([alpha], [t], target_error))
 
 
 def _bound_check(alpha: float, t: float, ratio: float, den_abs: float, den_bound: float):

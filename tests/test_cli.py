@@ -540,7 +540,7 @@ class TestInvalidInput:
         monkeypatch.setattr(orbit, "_geometry", sweep)
         for module in (series, ratios):  # the summation kernel, where each looks it up
             monkeypatch.setattr(module, "_sum_blocks", sweep)
-        for command, extra in (("orbit", ()), ("sandwich", ()), ("ratio", ()),
+        for command, extra in (("orbit", ()), ("sandwich", ()), ("ratio", ()), ("zeta", ()),
                                ("path-export", ("--n-max", "10"))):
             code, out, err = run(capsys, command, *argv, *extra)
             assert code == 2
@@ -709,15 +709,6 @@ class TestConfigFile:
         assert code == 0
         assert out.splitlines()[0] == "0.6931471805599453"
 
-    def test_config_ceiling_reaches_the_scans(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "etalab.conf"
-        cfg.write_text("ceiling=500\n")
-        monkeypatch.setenv("ETALAB_CONFIG", str(cfg))
-        # the margin transition at this point sits at n = 1398 > 500
-        code, _, err = run(capsys, "orbit", "--sigma", "0.50567", "--t", "37.58631")
-        assert code == 2
-        assert "stable run" in err
-
     def test_malformed_config_rejected(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "etalab.conf"
         cfg.write_text("precision 1e-10\n")
@@ -725,3 +716,38 @@ class TestConfigFile:
         code, _, err = run(capsys, "eta", "--sigma", "1")
         assert code == 2
         assert "config" in err or "malformed" in err
+
+
+class TestScanReadsOnlyWhatItScans:
+    """Command lines whose outcome depends only on the settings the command reads."""
+
+    SCAN_JSON = ("scan", "--which", "conjecture", "--t-from", "8", "--t-to", "9", "--format", "json")
+
+    @pytest.mark.parametrize("conf,argv,code", [
+        (None, ("scan", "--which", "monotonicity", "--t", "40", "--t-to", "250"), 0),  # no t axis read
+        (None, ("scan", "--which", "monotonicity", "--t", "40", "--alpha-step", "1e-4"), 0),
+        ("ceiling=500\n", ("orbit", "--sigma", "0.5", "--t", "20"), 2),
+        (None, ("zeta", "--sigma", "0.5", "--t", "inf"), 2),
+        (None, ("zeta", "--sigma", "0.5", "--t", "nan"), 2),
+        (None, ("ratio", "--sigma", "0.3", "--t", "5e-324", "--n-max", "100"), 0),
+        # t = 5e-324 lies below 2 pi + 1, where the modulus rises with alpha
+        (None, ("scan", "--which", "monotonicity", "--alpha-step", "0.1", "--t", "5e-324"), 1),
+        ("epsilon=0.3\n", (*SCAN_JSON, "--cache-dir", "{cache}"), 0),  # then re-served warm
+    ], ids=lambda v: " ".join(v).strip() if isinstance(v, tuple) else str(v).strip())
+    def test_exit_code_without_traceback(self, capsys, tmp_path, monkeypatch, conf, argv, code):
+        argv = [a.format(cache=tmp_path / "cache") for a in argv]
+        if conf:
+            (tmp_path / "etalab.conf").write_text(conf)
+            monkeypatch.setenv("ETALAB_CONFIG", str(tmp_path / "etalab.conf"))
+        got, out, err = run_exit(capsys, lambda: main(argv))
+        assert got == code
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        if "--cache-dir" in argv:
+            # a warm run under another configuration prints the bytes of a cold one
+            monkeypatch.delenv("ETALAB_CONFIG")
+            warm = run(capsys, *argv)
+            assert warm == run(capsys, *self.SCAN_JSON)
+            assert sorted(json.loads(warm[1])["config"]) == ["grid", "precision", "which"]

@@ -75,6 +75,8 @@ CASES = [
                  "turn_angle is defined for t >= 0; conjugate first", id="turn_angle-t"),
     pytest.param(errors.check_positive, ("t", 0.0), lambda: conjecture_bounds(0.2, 0.0),
                  "t must be finite and positive, got 0.0", id="conjecture_bounds-t"),
+    pytest.param(errors.check_alpha_range, (0.3, 0.2), lambda: ScanGrid(alpha_from=0.3, alpha_to=0.2),
+                 "alpha range must satisfy 0 <= from <= to < 1/2", id="ScanGrid-alpha_range"),
     pytest.param(errors.check_grid_size, (4501 * 1901,), lambda: ScanGrid(0.0, 0.45, 1e-4, 10.0, 200.0, 0.1),
                  "grid has 8556401 points, more than 1000000", id="ScanGrid-grid_size"),
     pytest.param(errors.axis_count, (7.0, 120.0, 1e-9, "t"), lambda: ScanGrid(t_from=7.0, t_step=1e-9),

@@ -77,6 +77,12 @@ class TestGamma:
     def test_log_modulus_beyond_overflow(self):
         assert abs(log_abs_gamma(0.3 + 300.0j) - LOG_ABS_GAMMA_03_300) < 1e-9
 
+    def test_log_modulus_at_subnormal_t(self):
+        # the argument of w = z + g + 1/2 underflows there; it is 0, not a range error
+        value = log_abs_gamma(0.3 + 5e-324j)
+        assert math.isfinite(value)
+        assert abs(value - log_abs_gamma(0.3)) <= 1e-15
+
 
 class TestFunctionalRatio:
     def test_factor_product_is_value(self):
