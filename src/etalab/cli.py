@@ -2,12 +2,12 @@
 
 Subcommands: eta, zeta, path-export, orbit, sandwich, ratio, scan,
 verify-zeros, approx-deviation.  Exit codes: 0 success, 1 property
-violation found, 2 accuracy failure, 3 I/O failure.
+violation found, 2 accuracy failure or invalid input, 3 I/O failure.
 
-Common flags may also come from a flat key=value config file pointed to
-by the ETALAB_CONFIG environment variable; explicit flags win.  Output
-is byte-deterministic for a given configuration.  Scans run serially;
---threads is accepted (and must be >= 1) for compatibility only.
+Each subcommand takes --out and the settings flags it reads.  A flat
+key=value file named by ETALAB_CONFIG may set any setting; explicit
+flags win.  Output is byte-deterministic for a given configuration.
+Scans run serially; scan --threads is accepted for compatibility only.
 
 A call builds the parser of its own subcommand only; --help, a missing
 or an unknown subcommand builds all of them.  A scan records one dict as
@@ -46,12 +46,13 @@ from .errors import (
 from .series import partial_sum_path
 
 
-def _add_common(sub):
-    sub.add_argument("--precision", type=float, default=None, help="oracle target error (default 1e-9)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--cache-dir", default=None, help="directory for the result cache")
-    sub.add_argument("--threads", type=int, default=None, help="accepted for compatibility; scans run serially")
+_SETTINGS = {  # in --help order
+    "--precision": {"type": float, "help": "oracle target error (default 1e-9)"},
+    "--format": {"choices": ("csv", "json"), "help": "output format"},
+    "--out": {"help": "output path (default stdout)"},
+    "--cache-dir": {"help": "directory for the result cache"},
+    "--threads": {"type": int, "help": "accepted for compatibility; scans run serially"},
+}
 
 
 def _point_args(p):
@@ -266,7 +267,7 @@ def cmd_ratio(args, cfg: RunConfig) -> int:
 
     tail, mag, _ = ratios.sum_ratio_path(s, args.n_max, n_from=env_from, on_block=collect)
     estimate = ratios._limit(tail, mag, args.n_max)
-    envelope = ratios._envelope(tail, env_from, args.n_max, functional.functional_ratio_modulus(s))
+    envelope = ratios._envelope(tail, env_from, args.n_max, abs(ratio.value))
     doc = json_document(
         "etalab/ratio/v1",
         {"sigma": s.real, "t": s.imag, "n_max": args.n_max, "precision": cfg.precision},
@@ -448,18 +449,21 @@ def cmd_approx_deviation(args, cfg: RunConfig) -> int:
     return 1 if any(r.violations for r in reports) else 0
 
 
-# name -> (help, argument adder, handler), in the order --help lists them
+# name -> (help, argument adder, handler, the _SETTINGS flags it reads besides --out), in --help order
 COMMANDS = {
-    "eta": ("evaluate eta(s) with a certified error bound", _point_args, cmd_value),
-    "zeta": ("evaluate zeta(s) = eta(s)/(1 - 2^(1-s))", _point_args, cmd_value),
-    "path-export": ("partial-sum path as CSV rows n,re,im", _path_export_args, cmd_path_export),
-    "orbit": ("disk-nesting diagnostics and margin trace", _orbit_args, cmd_orbit),
-    "sandwich": ("remainder sandwich records beyond the start index", _sandwich_args, cmd_sandwich),
-    "ratio": ("partial-sum ratio limit report (JSON)", _ratio_args, cmd_ratio),
-    "scan": ("grid scans: conjecture bounds, monotonicity, extrema", _scan_args, cmd_scan),
-    "verify-zeros": ("check |eta(1/2 + it)| over a zero table", _verify_zeros_args, cmd_verify_zeros),
+    "eta": ("evaluate eta(s) with a certified error bound", _point_args, cmd_value, ("--precision", "--format")),
+    "zeta": ("evaluate zeta(s) = eta(s)/(1 - 2^(1-s))", _point_args, cmd_value, ("--precision", "--format")),
+    "path-export": ("partial-sum path as CSV rows n,re,im", _path_export_args, cmd_path_export, ("--format",)),
+    "orbit": ("disk-nesting diagnostics and margin trace", _orbit_args, cmd_orbit, ("--precision",)),
+    "sandwich": ("remainder sandwich records beyond the start index", _sandwich_args, cmd_sandwich,
+                 ("--precision", "--format")),
+    "ratio": ("partial-sum ratio limit report (JSON)", _ratio_args, cmd_ratio, ("--precision",)),
+    "scan": ("grid scans: conjecture bounds, monotonicity, extrema", _scan_args, cmd_scan,
+             ("--precision", "--format", "--cache-dir", "--threads")),
+    "verify-zeros": ("check |eta(1/2 + it)| over a zero table", _verify_zeros_args, cmd_verify_zeros,
+                     ("--precision", "--format")),
     "approx-deviation": ("deviation of the elementary bound approximations",
-                         _approx_deviation_args, cmd_approx_deviation),
+                         _approx_deviation_args, cmd_approx_deviation, ("--format",)),
 }
 
 
@@ -477,10 +481,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in COMMANDS if command is None else (command,):
-        help_text, add_args, handler = COMMANDS[name]
+        help_text, add_args, handler, settings = COMMANDS[name]
         p = subs.add_parser(name, help=help_text)
         add_args(p)
-        _add_common(p)
+        for flag, options in _SETTINGS.items():
+            if flag == "--out" or flag in settings:
+                p.add_argument(flag, **options)
         p.set_defaults(handler=handler)
     return parser
 

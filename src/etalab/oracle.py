@@ -3,7 +3,7 @@
 Evaluation uses the alternating-series acceleration of Cohen,
 Rodriguez Villegas and Zagier (Experiment. Math. 9 (2000), 3-12), whose
 weights depend only on the term count n and have scale d_n ~ (3+sqrt 8)^n.
-Each point is summed once, with a term count linear in |t| (see _certify).
+Each point is summed once, with a term count linear in |t| up to MAX_TERMS.
 
 The error bound is a-priori.  In the CRVZ integral form, (k+1)^(-s) =
 int_0^1 x^k w(x) dx with int |w| = Gamma(sigma) / |Gamma(s)|, so n terms
@@ -38,6 +38,7 @@ from .errors import MAX_IM, TARGET_FLOOR, AccuracyUnreachable, DenominatorPole, 
 from .series import partial_sum
 
 ZERO_INDISTINGUISHABLE_FACTOR = 10.0
+MAX_TERMS = 400  # the most acceleration terms a point may take
 
 _LD = np.longdouble
 _EPS64 = float(np.finfo(np.float64).eps)
@@ -181,7 +182,7 @@ def _pass(sig, t_abs, n: int, ln):
     return value, amp
 
 
-def _certify(sig, t, target_error: float, max_terms: int):
+def _certify(sig, t, target_error: float):
     """Values and bounds T + rounding floor at the points of one chunk.
 
     A point gets ceil(1.2 n) + 8 terms (at least 1), n = ceil(1.31 D +
@@ -190,7 +191,7 @@ def _certify(sig, t, target_error: float, max_terms: int):
     count is raised to the smallest one with T <= target_error
     / 2: as d_n > (3+sqrt 8)^n / 2, that is `up` or `up - 1`, and
     T(up - 1) decides.  Raises AccuracyUnreachable for the first point
-    whose count exceeds max_terms (it is never summed) or whose bound
+    whose count exceeds MAX_TERMS (it is never summed) or whose bound
     exceeds the target.
 
     The rounding floor is 1e-15 (1 + |value|), for the rounding to
@@ -217,7 +218,7 @@ def _certify(sig, t, target_error: float, max_terms: int):
     counts[low] = first + (scale[low] / d > target_error / 2.0)
     values = np.empty(sig.size, dtype=np.complex128)
     bounds = np.full(sig.size, math.inf)
-    kept = sorted(set(counts[counts <= max_terms].tolist()))
+    kept = sorted(set(counts[counts <= MAX_TERMS].tolist()))
     ln = np.log(np.arange(1, max(kept, default=0) + 1, dtype=_LD))
     for nc in map(int, kept):
         g = np.flatnonzero(counts == nc)
@@ -232,14 +233,14 @@ def _certify(sig, t, target_error: float, max_terms: int):
         i = int(missed[0])
         raise AccuracyUnreachable(
             f"cannot certify {target_error:g} at s = {complex(sig[i], t[i])}"
-            f" within {max_terms} terms"
+            f" within {MAX_TERMS} terms"
         )
     negative = t < 0
     values[negative] = values[negative].conjugate()
     return values, bounds
 
 
-def eta_many(sigmas, ts, target_error: float = TARGET_FLOOR, max_terms: int = 400):
+def eta_many(sigmas, ts, target_error: float = TARGET_FLOOR):
     """eta(sigma + i t) at every point of the broadcast of sigmas and ts.
 
     Returns (values, bounds): complex128 and float64 arrays of the
@@ -247,26 +248,26 @@ def eta_many(sigmas, ts, target_error: float = TARGET_FLOOR, max_terms: int = 40
     pair bit-identical to a one-point call.  The points are checked
     (errors.check_points), then certified in C-order chunks of _CHUNK
     points, so AccuracyUnreachable names the first point in C order
-    whose term count exceeds max_terms or whose bound exceeds target_error.
+    whose term count exceeds MAX_TERMS or whose bound exceeds target_error.
     """
     sig, t = check_points(sigmas, ts, target_error)
     values = np.empty(sig.size, dtype=np.complex128)
     bounds = np.empty(sig.size)
     for lo in range(0, sig.size, _CHUNK):
         hi = lo + _CHUNK
-        values[lo:hi], bounds[lo:hi] = _certify(sig.flat[lo:hi], t.flat[lo:hi], target_error, max_terms)
+        values[lo:hi], bounds[lo:hi] = _certify(sig.flat[lo:hi], t.flat[lo:hi], target_error)
     return values.reshape(sig.shape), bounds.reshape(sig.shape)
 
 
-def eta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleValue:
+def eta(s, target_error: float = TARGET_FLOOR) -> OracleValue:
     """eta(s) with |value - eta(s)| <= abs_error_bound <= target_error.
 
     The one-point case of :func:`eta_many`.  Raises AccuracyUnreachable
-    when the bound cannot reach target_error within max_terms
+    when the bound cannot reach target_error within MAX_TERMS
     acceleration terms.
     """
     s = complex(s)
-    value, bound = eta_many(s.real, s.imag, target_error, max_terms)
+    value, bound = eta_many(s.real, s.imag, target_error)
     return OracleValue(complex(value), float(bound))
 
 
@@ -306,10 +307,10 @@ def _zeta_from_eta(s: complex, e: OracleValue) -> OracleValue:
     return OracleValue(value, bound)
 
 
-def zeta(s, target_error: float = TARGET_FLOOR, max_terms: int = 400) -> OracleValue:
+def zeta(s, target_error: float = TARGET_FLOOR) -> OracleValue:
     """zeta(s) = eta(s) / (1 - 2^(1-s)) with a propagated error bound."""
     s = complex(s)
-    e = eta(s, target_error, max_terms)  # checks s before the pole test reads it
+    e = eta(s, target_error)  # checks s before the pole test reads it
     if _pole_distance(s) < 1e-9:
         raise DenominatorPole(f"s = {s} is within 1e-9 of a zero of 1 - 2^(1-s)")
     return _zeta_from_eta(s, e)

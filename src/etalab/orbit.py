@@ -23,11 +23,11 @@ beside the size-p1^2 terms of the textbook form.  The disk centre and
 radius gaps come from the same quantities.  "Stays positive" is a
 stable run of configurable length: a start is the last failing index
 before the first run of `window` consecutive passes.  One sweep in
-blocks up to a ceiling tracks the margin, the shrunk-disk containment
-or both, and stops at the block where the last run completes.
-Points pass the oracle's point rule, errors.check_points, before any
-sweep.  The nesting start grows like t^2 / (2 sigma), so scans near the
-left strip edge take longer and may hit the ceiling.
+blocks up to DEFAULT_CEILING = 10^7 tracks the margin, the shrunk-disk
+containment or both, and stops at the block where the last run
+completes.  Points pass the oracle's point rule, errors.check_points,
+before any sweep.  The nesting start grows like t^2 / (2 sigma), so
+scans near the left strip edge take longer and may hit the ceiling.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .series import partial_sum_path
 from . import oracle
 
 DEFAULT_WINDOW = 1000
-DEFAULT_CEILING = MAX_N
+DEFAULT_CEILING = MAX_N  # the last index a sweep reads
 _SCAN_BLOCK = 1 << 12  # indices per kernel call; its temporaries stay in cache
 
 
@@ -158,7 +158,8 @@ def _at(n, s, **parts) -> _Geometry:
     arr = np.atleast_1d(np.asarray(n, dtype=np.float64))
     if arr.min() < (lo := angle_threshold(t)):
         raise AngleTooLarge(f"the disk geometry needs n >= {lo} at t = {t:g}, got {int(arr.min())}")
-    return _geometry(arr, sigma, t, lengths=True, **parts)
+    with np.errstate(all="ignore"):  # overflowed parts read as inf or nan
+        return _geometry(arr, sigma, t, lengths=True, **parts)
 
 
 def nesting_margin(n, s):
@@ -190,7 +191,7 @@ def _run_end(good: np.ndarray, lo: int, window: int, last_bad: int, flips: int):
     return lo + int(edges[k]), flips + int(np.count_nonzero(streaks[:k])), bool(done.size)
 
 
-def _stable_run_start(s, window, ceiling, margin=True, scale=None):
+def _stable_run_start(s, window, margin=True, scale=None):
     """Last failing index before the first run of `window` consecutive passes.
 
     Checks s and window, then sweeps "margin > 0" if `margin` and "the
@@ -200,8 +201,8 @@ def _stable_run_start(s, window, ceiling, margin=True, scale=None):
     its result is read at that run, so neither depends on the block
     size or on the other predicate.  Returns one (index, flips) pair
     per predicate, flips counting pass-to-fail transitions up to the
-    index.  Raises WindowExhausted when a run does not fit below the
-    ceiling.
+    index.  Raises WindowExhausted when a run does not fit below
+    DEFAULT_CEILING.
     """
     s = complex(s)
     check_points(s.real, s.imag)
@@ -212,9 +213,10 @@ def _stable_run_start(s, window, ceiling, margin=True, scale=None):
         tests["disks"] = lambda g: _nests(g, scale)
     runs = {part: (angle_threshold(t) - 1, 0) for part in tests}
     n = angle_threshold(t)
-    while n <= ceiling and tests:
-        hi = min(n + _SCAN_BLOCK, ceiling + 1)
-        g = _geometry(np.arange(n, hi, dtype=np.float64), sigma, t, "bracket" in tests, "disks" in tests)
+    while n <= DEFAULT_CEILING and tests:
+        hi = min(n + _SCAN_BLOCK, DEFAULT_CEILING + 1)
+        with np.errstate(all="ignore"):  # an index whose geometry overflows fails its test
+            g = _geometry(np.arange(n, hi, dtype=np.float64), sigma, t, "bracket" in tests, "disks" in tests)
         results = [(part, passes(g)) for part, passes in tests.items()]
         del g  # freed before the next block is evaluated
         for part, good in results:
@@ -224,30 +226,28 @@ def _stable_run_start(s, window, ceiling, margin=True, scale=None):
                 del tests[part]
         n = hi
     if tests:
-        raise WindowExhausted(f"no stable run of length {window} found below ceiling {ceiling}")
+        raise WindowExhausted(f"no stable run of length {window} found below ceiling {DEFAULT_CEILING}")
     return list(runs.values())
 
 
-def nesting_start(s, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILING) -> int:
+def nesting_start(s, window: int = DEFAULT_WINDOW) -> int:
     """Largest index with nesting margin <= 0, stable-positive beyond.
 
     Returns angle_threshold(t) - 1 when the margin is positive from the
     threshold onward (0 in the degenerate t = 0 case).
     """
-    [(idx, _)] = _stable_run_start(s, window, ceiling)
+    [(idx, _)] = _stable_run_start(s, window)
     return idx
 
 
-def containment_start(s, scale: float, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILING) -> int:
+def containment_start(s, scale: float, window: int = DEFAULT_WINDOW) -> int:
     """Largest index where scale-shrunk disks fail to nest, stable beyond."""
     check_in("scale", scale, "(0, 1]")
-    [(idx, _)] = _stable_run_start(s, window, ceiling, margin=False, scale=scale)
+    [(idx, _)] = _stable_run_start(s, window, margin=False, scale=scale)
     return idx
 
 
-def orbit_diagnostics(
-    s, epsilon: float = 0.5, window: int = DEFAULT_WINDOW, ceiling: int = DEFAULT_CEILING
-) -> OrbitDiagnostics:
+def orbit_diagnostics(s, epsilon: float = 0.5, window: int = DEFAULT_WINDOW) -> OrbitDiagnostics:
     """All sandwich indices for the point s at the given epsilon, from one sweep.
 
     The lower bound (1-eps)/(2 n^sigma) comes from disks shrunk by the
@@ -256,7 +256,7 @@ def orbit_diagnostics(
     endpoint.  The containment predicate therefore runs at scale = epsilon.
     """
     check_in("epsilon", epsilon, "(0, 1)")
-    (n_o, flips), (j, _) = _stable_run_start(s, window, ceiling, scale=epsilon)
+    (n_o, flips), (j, _) = _stable_run_start(s, window, scale=epsilon)
     return OrbitDiagnostics(angle_threshold(abs(complex(s).imag)), n_o, j, max(n_o, j), epsilon, window, flips)
 
 

@@ -39,6 +39,8 @@ class ScanGrid:
         check_alpha_range(self.alpha_from, self.alpha_to)
         if not (0.0 < self.t_from <= self.t_to <= MAX_IM):
             raise ValueError(f"t range must satisfy 0 < from <= to <= {MAX_IM:g}")
+        if self.t_from < (tiny := np.finfo(np.float64).smallest_normal):  # (8 pi / 9t)^alpha overflows
+            raise ValueError(f"t_from must be a normal double, at least {tiny:g}, got {self.t_from}")
         check_grid_size(self.cardinality)
 
     def alphas(self) -> np.ndarray:

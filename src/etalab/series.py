@@ -76,7 +76,8 @@ def _sum_blocks(sigmas: tuple[float, ...], t: float, n_max: int):
         phase[lo % 2 :: 2] *= -1.0  # even n carries the alternating minus
         sums = []
         for k, sigma in enumerate(sigmas):
-            cum = np.exp(-sigma * ln) * phase  # the terms, then their sums
+            with np.errstate(over="ignore"):  # a term too small for a double is 0
+                cum = np.exp(-sigma * ln) * phase  # the terms, then their sums
             np.cumsum(cum, out=cum)
             value = cum[-1] + carries[k]
             cum += bases[k]

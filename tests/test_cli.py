@@ -1,16 +1,22 @@
 """Command-line surface: outputs, exit codes, config and cache behavior."""
 
+import argparse
 import json
 import math
+import re
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from etalab import detect_zero_sums, partial_sum_path, sum_ratio_path
+from etalab import detect_zero_sums, orbit, partial_sum_path, sum_ratio_path
 from etalab.cli import COMMANDS, build_parser, main
+from etalab.config import RunConfig, resolve_config
 from etalab.emitters import render_csv, validate_document
+from etalab.errors import axis_count
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -52,11 +58,11 @@ class TestParser:
     @pytest.mark.parametrize("name", list(COMMANDS))
     def test_named_call_builds_one_subparser(self, capsys, monkeypatch, name):
         built = []
-        for key, (help_text, add_args, handler) in COMMANDS.items():
+        for key, (help_text, add_args, handler, settings) in COMMANDS.items():
             def recording(p, key=key, add_args=add_args):
                 built.append(key)
                 add_args(p)
-            monkeypatch.setitem(COMMANDS, key, (help_text, recording, handler))
+            monkeypatch.setitem(COMMANDS, key, (help_text, recording, handler, settings))
         run_exit(capsys, lambda: main([name, "--help"]))
         assert built == [name]
         built.clear()
@@ -266,6 +272,7 @@ class TestRatioCommand:
         value = 0.5 * (complex(ratios[-1]) + complex(ratios[-2]))
         assert (data["limit"]["re"], data["limit"]["im"]) == (value.real, value.imag)
         assert data["limit"]["n_used"] == n_max
+        assert data["envelope"]["limit_modulus"] == data["functional_ratio"]["modulus"]
         events = detect_zero_sums(s, n_max, float(threshold))
         assert [(e["n"], e["magnitude"], e["beyond_nesting"]) for e in data["zero_events"]] == [
             (e.n, e.magnitude, e.beyond_nesting) for e in events
@@ -628,12 +635,20 @@ class TestInvalidInput:
         ("approx-deviation", "--precision", "nan"),
         ("path-export", "--sigma", "0.3", "--t", "20", "--n-max", "10", "--precision", "nan"),
     ], ids=" ".join)
-    def test_precision_refused_by_every_subcommand(self, capsys, argv):
-        # none of these runs the oracle on the precision: the configuration refuses it
+    def test_precision_refused_by_every_subcommand(self, capsys, tmp_path, monkeypatch, argv):
+        # none of these runs the oracle on the precision: the configuration refuses it,
+        # from ETALAB_CONFIG on every subcommand and as a flag where the subcommand reads it
         message = ("error: target_error must be >= 1e-13\n" if argv[-1] == "-5"
                    else "error: target_error must be finite, got nan\n")
-        code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (2, "", message)
+        code, out, err = run_exit(capsys, lambda: main(list(argv)))
+        if "--precision" in COMMANDS[argv[0]][3]:
+            assert (code, out, err) == (2, "", message)
+        else:
+            assert (code, out) == (2, "")
+            assert err.endswith(f"error: unrecognized arguments: --precision {argv[-1]}\n")
+        (tmp_path / "etalab.conf").write_text(f"precision={argv[-1]}\n")
+        monkeypatch.setenv("ETALAB_CONFIG", str(tmp_path / "etalab.conf"))
+        assert run(capsys, *argv[:-2]) == (2, "", message)
 
     def test_format_config_key_outside_the_choices(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "etalab.conf"
@@ -732,6 +747,9 @@ class TestScanReadsOnlyWhatItScans:
         (None, ("ratio", "--sigma", "0.3", "--t", "5e-324", "--n-max", "100"), 0),
         # t = 5e-324 lies below 2 pi + 1, where the modulus rises with alpha
         (None, ("scan", "--which", "monotonicity", "--alpha-step", "0.1", "--t", "5e-324"), 1),
+        # the conjecture bounds (8 pi / 9t)^alpha overflow at a subnormal t
+        (None, ("scan", "--which", "conjecture", "--t-from", "5e-324", "--t-to", "11", "--alpha-step", "0.2",
+                "--format", "json"), 2),
         ("epsilon=0.3\n", (*SCAN_JSON, "--cache-dir", "{cache}"), 0),  # then re-served warm
     ], ids=lambda v: " ".join(v).strip() if isinstance(v, tuple) else str(v).strip())
     def test_exit_code_without_traceback(self, capsys, tmp_path, monkeypatch, conf, argv, code):
@@ -751,3 +769,130 @@ class TestScanReadsOnlyWhatItScans:
             warm = run(capsys, *argv)
             assert warm == run(capsys, *self.SCAN_JSON)
             assert sorted(json.loads(warm[1])["config"]) == ["grid", "precision", "which"]
+
+
+FLOATS = ["nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e-320", "-1", "0.5", "1", "2", "200",
+          repr(math.nextafter(200.0, math.inf)), "1e308"]
+INTS = ["-1", "0", "1", "2", "3", str(10**7 + 1)]
+PATHS = {"out": ["{tmp}/out", "{tmp}"], "cache_dir": ["{cache}"],
+         "table": ["{tmp}/zeros.csv", "{tmp}/missing.csv"]}
+MAX_N_MAX, MAX_GRID_POINTS = 10**4, 10**3
+
+
+def _rarely(draw) -> bool:
+    """True in about one draw of three: most drawn values are refused, so few are set at once."""
+    return draw(st.sampled_from((True, False, False)))
+
+
+def _value(draw, dest: str, kind, choices=None) -> str:
+    return draw(st.sampled_from(list(choices or {float: FLOATS, int: INTS}.get(kind) or PATHS[dest])))
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, ETALAB_CONFIG text): flags from one subcommand's own parser, keys from RunConfig."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    [subs] = [a for a in build_parser(name)._actions if isinstance(a, argparse._SubParsersAction)]
+    argv = [name]
+    for action in subs.choices[name]._actions:
+        flags = [f for f in action.option_strings if f.startswith("--")]
+        # a default beyond the work bound (ratio's --n-max) is always overridden
+        forced = action.required or (action.dest == "n_max" and action.default > MAX_N_MAX)
+        if flags == ["--help"] or not (forced or _rarely(draw)):
+            continue
+        flag = draw(st.sampled_from(flags))
+        if action.nargs != 0:  # --flag=value, as argparse reads a bare -inf as an option
+            flag += "=" + _value(draw, action.dest, action.type, action.choices)
+        argv.append(flag)
+    conf = ""
+    if _rarely(draw):
+        for f in fields(RunConfig):
+            if _rarely(draw):
+                kind = str if f.default is None else type(f.default)
+                choices = ("csv", "json", "xml") if f.name == "format" else None
+                conf += f"{f.name.replace('_', '-')}={_value(draw, f.name, kind, choices)}\n"
+    return argv, conf
+
+
+def _grid_points(args, cfg) -> int:
+    """Points a scan would evaluate; 0 where an axis is refused first."""
+    if args.command != "scan":
+        return 0
+    alpha = ((args.alpha, args.alpha, 1.0) if args.alpha is not None
+             else (cfg.grid_alpha_from, cfg.grid_alpha_to, cfg.grid_alpha_step))
+    t = (cfg.grid_t_from, cfg.grid_t_to, cfg.grid_t_step)
+    try:
+        if args.which == "conjecture":
+            return axis_count(*alpha, "alpha") * axis_count(*t, "t")
+        if args.which == "monotonicity":
+            return axis_count(*alpha, "alpha")
+        return axis_count(*t[:2], min(t[2], 0.01), "t")
+    except ValueError:
+        return 0
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+class TestFuzz:
+    """Every drawn command line ends in a documented exit code, with the same bytes each run.
+
+    A warm cache hit matches the cold run's exit code and output, but not
+    its stderr notes: a cache entry does not carry the count of skipped
+    points, so `scan --which conjecture --t-from 3 --t-to 4 --alpha-step
+    0.2 --cache-dir D` prints `note: t range extends below 2*pi + 1 ...`
+    only when cold.
+    """
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning escapes main as an exception
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.filter_too_much])
+    @given(case=_invocations())
+    @example(case=(["orbit", "--sigma=800", "--t=20"], ""))
+    @example(case=(["sandwich", "--sigma=1e308", "--t=20", "--n-max=5"], ""))
+    @example(case=(["path-export", "--sigma=1e308", "--t=20", "--n-max=50", "--stride=7"], ""))
+    @example(case=(["scan", "--which=conjecture", "--t-from=5e-324", "--t-to=11", "--alpha-step=0.2",
+                    "--format=json"], ""))
+    @example(case=(["scan", "--which=conjecture", "--t-from=3", "--t-to=4", "--alpha-step=0.2",
+                    "--cache-dir={cache}"], ""))
+    def test_exit_codes_and_bytes(self, capsys, monkeypatch, tmp_path_factory, case):
+        argv, conf = case
+        monkeypatch.setattr(orbit, "DEFAULT_CEILING", 10**5)
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "zeros.csv").write_text("ordinal,t\n1,14.134725141734694\n")
+        monkeypatch.setenv("ETALAB_CONFIG", str(tmp / "etalab.conf"))
+
+        def fill(text: str, cache) -> str:
+            return text.replace("{tmp}", str(tmp)).replace("{cache}", str(cache))
+
+        def once(cache):
+            """One run with its own cache directory: (exit code, stdout, stderr, --out bytes)."""
+            (tmp / "etalab.conf").write_text(fill(conf, cache))
+            (tmp / "out").unlink(missing_ok=True)
+            code = main([fill(a, cache) for a in argv])
+            out, err = capsys.readouterr()
+            return code, out, err, (tmp / "out").read_bytes() if (tmp / "out").is_file() else None
+
+        (tmp / "etalab.conf").write_text(fill(conf, tmp / "c1"))
+        try:
+            args = build_parser(argv[0]).parse_args([fill(a, tmp / "c1") for a in argv])
+        except SystemExit:
+            raise AssertionError(f"argparse refused {argv}")
+        try:
+            cfg = resolve_config({f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+            assume(_grid_points(args, cfg) <= MAX_GRID_POINTS)
+        except ValueError:
+            pass  # refused before any work
+
+        first = code, out, err, written = once(tmp / "c1")
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        if code == 2:
+            assert out == "" and re.fullmatch(r"(error|accuracy failure): [^\n]*\n", err), err
+        for text in (out, (written or b"").decode()):
+            if text.startswith("{"):
+                json.loads(text, parse_constant=_no_constant)
+        assert once(tmp / "c2") == first
+        if "{cache}" in conf + " ".join(argv):
+            warm = once(tmp / "c2")
+            assert (warm[0], warm[1], warm[3]) == (code, out, written)

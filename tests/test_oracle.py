@@ -107,9 +107,10 @@ class TestCertificate:
             v = eta(0.404 + 147.0j, target)
             assert v.abs_error_bound <= target
 
-    def test_unreachable_raises(self):
+    def test_unreachable_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_TERMS", 60)
         with pytest.raises(AccuracyUnreachable):
-            eta(0.3 + 160.0j, 1e-13, max_terms=60)
+            eta(0.3 + 160.0j, 1e-13)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -460,21 +461,24 @@ class TestBatchMatchesReference:
 
 
 class TestBatchErrors:
-    def test_unreachable_names_the_first_point_in_input_order(self):
+    def test_unreachable_names_the_first_point_in_input_order(self, monkeypatch):
         ts = [10.0, 150.0, 5.0, 160.0]  # only |t| >= 150 needs more than 60 terms
+        monkeypatch.setattr(oracle, "MAX_TERMS", 60)
         with pytest.raises(AccuracyUnreachable, match=r"s = \(0\.3\+150j\) within 60 terms"):
-            oracle.eta_many(0.3, ts, 1e-13, max_terms=60)
+            oracle.eta_many(0.3, ts, 1e-13)
 
-    def test_raised_count_over_max_terms_comes_first_in_input_order(self):
+    def test_raised_count_over_max_terms_comes_first_in_input_order(self, monkeypatch):
         # sigma = 1e-100 at t = 0.5 needs 149 terms, t = 150 needs 197;
         # the first of them in C order is named, past the first chunk
         assert oracle._CHUNK < 600
         sigmas = [0.5] * 600 + [1e-100, 0.5]
+        monkeypatch.setattr(oracle, "MAX_TERMS", 100)
         with pytest.raises(AccuracyUnreachable, match=r"s = \(1e-100\+0\.5j\) within 100 terms"):
-            oracle.eta_many(sigmas, [10.0] * 600 + [0.5, 150.0], 1e-13, max_terms=100)
+            oracle.eta_many(sigmas, [10.0] * 600 + [0.5, 150.0], 1e-13)
         with pytest.raises(AccuracyUnreachable, match=r"s = \(0\.5\+150j\) within 100 terms"):
-            oracle.eta_many(sigmas[::-1], [150.0, 0.5] + [10.0] * 600, 1e-13, max_terms=100)
-        values, _ = oracle.eta_many(sigmas, [10.0] * 600 + [0.5, 150.0], 1e-13, max_terms=197)
+            oracle.eta_many(sigmas[::-1], [150.0, 0.5] + [10.0] * 600, 1e-13)
+        monkeypatch.setattr(oracle, "MAX_TERMS", 197)
+        values, _ = oracle.eta_many(sigmas, [10.0] * 600 + [0.5, 150.0], 1e-13)
         assert values.shape == (602,)
 
     @pytest.mark.parametrize("target", [math.inf, math.nan, -math.inf])

@@ -125,9 +125,10 @@ class TestNestingStart:
         window = np.arange(start + 1, start + 1001)
         assert np.all(nesting_margin(window, 0.5 + 20.0j) > 0.0)
 
-    def test_window_exhausted(self):
-        with pytest.raises(WindowExhausted):
-            nesting_start(S_PAPER, window=1000, ceiling=500)
+    def test_window_exhausted(self, monkeypatch):
+        monkeypatch.setattr(orbit, "DEFAULT_CEILING", 500)
+        with pytest.raises(WindowExhausted, match="found below ceiling 500"):
+            nesting_start(S_PAPER, window=1000)
 
     def test_window_validated_by_every_scan(self):
         for window in (0, -5):
@@ -183,6 +184,12 @@ class TestOrbitDiagnostics:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             orbit_diagnostics(0.5 + 20.0j, 1.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_geometry_fails_without_a_warning(self):
+        # at sigma = 800 the disk geometry of the first indices overflows
+        diag = orbit_diagnostics(800.0 + 20.0j)
+        assert diag.acute_start < diag.containment_start == diag.sandwich_start
 
 
 class TestSandwich:

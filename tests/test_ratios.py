@@ -114,7 +114,7 @@ class TestZeroSumEvents:
         s = 0.3 + 25.0j
         for call in (lambda: sum_ratio_path(s, 10, threshold),
                      lambda: limit_estimate(s, 10, threshold=threshold),
-                     lambda: detect_zero_sums(s, 10, threshold, nesting_index=0)):
+                     lambda: detect_zero_sums(s, 10, threshold)):
             with pytest.raises(ValueError, match="threshold must be finite and positive"):
                 call()
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etalab import orbit
 from etalab import ratios as ratio_module
 from etalab import (
     detect_zero_sums,
@@ -129,6 +130,11 @@ class TestStreaming:
         s = 0.7 + 5.0j
         [first] = partial_sum_path(s, 1001, n_from=1001)
         assert abs(first - partial_sum(1001, s)) < 1e-13
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_terms_are_zero_without_a_warning(self):
+        # n^(-1e308) is 0 in double for every n >= 2
+        assert partial_sum_path(1e308 + 20.0j, 50).tolist() == [1.0 + 0.0j] * 50
 
     def test_stream_is_the_path_across_a_block_boundary(self):
         s = 0.4 - 30.0j
@@ -285,11 +291,12 @@ class TestKernelMatchesReference:
         signs = np.sign(np.abs(ratios[self.N - 201 :]) - 0.5)
         _assert_same_bits(rep.alternation_rate, float(np.mean(signs[1:] != signs[:-1])))
 
-    def test_detect_zero_sums(self, case):
+    def test_detect_zero_sums(self, case, monkeypatch):
         s, _, den = case
         mags = np.abs(den)
         threshold = float(np.sort(mags)[20])  # about twenty smallest sums
-        events = detect_zero_sums(s, self.N, threshold, nesting_index=self.N // 2)
+        monkeypatch.setattr(orbit, "nesting_start", lambda s: self.N // 2)
+        events = detect_zero_sums(s, self.N, threshold)
         want = np.nonzero(mags < threshold)[0]
         assert [e.n for e in events] == [int(i) + 1 for i in want]
         _assert_same_bits([e.magnitude for e in events], mags[want])
