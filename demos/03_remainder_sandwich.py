@@ -30,13 +30,13 @@ print("nesting stable from:", diag.nesting_start + 1)
 print("eps-disks nest from:", diag.containment_start + 1)
 print("sandwich holds from:", diag.sandwich_start + 1)
 
-# Spot-check the sandwich just beyond the certified index.
-rows = sandwich_report(s, 0.5, diag.sandwich_start + 1, diag.sandwich_start + 2000,
-                       diagnostics=diag)
-violations = [r for r in rows if not r.holds]
-print(f"\nsandwich rows checked: {len(rows)}, violations: {len(violations)}")
-r = rows[0]
-print(f"first row: {r.lower:.5f} < {r.measured:.5f} < {r.upper:.5f}")
+# Spot-check the sandwich just beyond the certified index; the report is
+# one array per column.
+report = sandwich_report(s, 0.5, diag.sandwich_start + 1, diag.sandwich_start + 2000,
+                         diagnostics=diag)
+violations = np.count_nonzero(~report.holds)
+print(f"\nsandwich rows checked: {len(report)}, violations: {violations}")
+print(f"first row: {report.lower[0]:.5f} < {report.measured[0]:.5f} < {report.upper[0]:.5f}")
 
 # The exact disk gap approaches its leading-order form as n grows; a
 # drifting ratio would flag a transcription slip in the geometry.  The

@@ -19,10 +19,12 @@ print("violations  :", len(result.violations))
 print("skipped     :", len(result.skipped))
 
 # A slice at fixed t: the ratio narrows between its bounds as alpha grows.
-t_slice = [r for r in result.records if abs(r.t - 9.0647) < 0.2][:10]
+# The records are columns, one list per field.
+rec = result.records
+t_slice = [i for i, t in enumerate(rec.t) if abs(t - 9.0647) < 0.2][:10]
 print("\n alpha    lower    ratio    upper")
-for r in t_slice:
-    print(f"{r.alpha:6.2f}  {r.lower:.5f}  {r.ratio:.5f}  {r.upper:.5f}")
+for i in t_slice:
+    print(f"{rec.alpha[i]:6.2f}  {rec.lower[i]:.5f}  {rec.ratio[i]:.5f}  {rec.upper[i]:.5f}")
 
 # Along t at fixed alpha the ratio is wavy: the deeps line up with even
 # multiples of pi/ln 2 (about 4.5324).

@@ -10,9 +10,11 @@ flags win.  Output is byte-deterministic for a given configuration.
 Scans run serially; scan --threads is accepted for compatibility only.
 
 A call builds the parser of its own subcommand only; --help, a missing
-or an unknown subcommand builds all of them.  A scan records one dict as
-its JSON config and hashes it, with the command, into its cache key: the
-precision, the scan kind and the axes that kind reads.
+or an unknown subcommand builds all of them.  Tables travel as columns.
+A scan records one dict as its JSON config and hashes it, with the
+command, into its cache key: the precision, the scan kind and the axes
+that kind reads.  Its notes and exit code follow from the grid and the
+rows, cold or re-served.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .errors import (
     check_alpha_range,
     check_at_least,
     check_ceiling,
+    check_in,
     check_points,
     check_positive,
 )
@@ -115,26 +118,35 @@ def _deliver(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _table(cfg: RunConfig, command: str, config: dict, header, rows, **scan) -> str:
-    """A table as CSV (header + rows) or as a JSON document.
+def _table(cfg: RunConfig, command: str, config: dict, header, columns, **scan) -> str:
+    """A table, given as its header and columns, as CSV or as a JSON document of rows.
 
     Scan tables pass ``violations`` and ``skipped`` and get the scan
     schema; every other table carries its header in the table schema.
     """
     if cfg.format != "json":
-        return render_csv(header, rows)
-    data = {"command": command, "rows": [list(r) for r in rows], **scan}
+        return render_csv(header, columns)
+    data = {"command": command, "rows": [list(r) for r in zip(*columns)], **scan}
     if not scan:
         data["header"] = list(header)
     schema = "etalab/scan/v1" if scan else "etalab/table/v1"
     return render_json(json_document(schema, config, data))
 
 
-def _rows(text: str, fmt: str) -> list:
-    """The data rows of rendered CSV or JSON table output, as field lists."""
-    if fmt == "json":
-        return json.loads(text)["data"]["rows"]
-    return [line.split(",") for line in text.strip().split("\n")[1:]]
+def _columns(text: str, fmt: str, width: int) -> list[list]:
+    """The `width` columns of rendered CSV or JSON table output, as field lists."""
+    rows = json.loads(text)["data"]["rows"] if fmt == "json" else [r.split(",") for r in text.strip().split("\n")[1:]]
+    return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
+
+
+def _fields(records, names) -> list[list]:
+    """The named attributes of records, as columns."""
+    return [[getattr(r, name) for r in records] for name in names]
+
+
+def _flags(values) -> list[str]:
+    """Booleans as table cells."""
+    return ["true" if v else "false" for v in values]
 
 
 def _fmt_complex(z: complex) -> str:
@@ -181,9 +193,9 @@ def cmd_path_export(args, cfg: RunConfig) -> int:
     check_ceiling(args.n_max)
     check_points(s.real, s.imag)
     path = partial_sum_path(s, args.n_max, args.stride)
-    rows = zip(range(1, args.n_max + 1, args.stride), path.real.tolist(), path.imag.tolist())
+    columns = [range(1, args.n_max + 1, args.stride), path.real.tolist(), path.imag.tolist()]
     config = {"sigma": s.real, "t": s.imag, "n_max": args.n_max, "stride": args.stride}
-    _deliver(_table(cfg, "path-export", config, ("n", "re", "im"), rows), cfg.out)
+    _deliver(_table(cfg, "path-export", config, ("n", "re", "im"), columns), cfg.out)
     return 0
 
 
@@ -191,11 +203,9 @@ def cmd_orbit(args, cfg: RunConfig) -> int:
     s = complex(args.sigma, args.t)
     diag = orbit.orbit_diagnostics(s, cfg.epsilon, cfg.window)
     first_positive = max(diag.nesting_start + 1, diag.acute_start)
-    spot = orbit.sandwich_report(
-        s, cfg.epsilon, diag.sandwich_start + 1, diag.sandwich_start + 100,
-        cfg.precision, diag,
-    )
-    spot_ok = all(rec.holds for rec in spot)
+    spot = orbit.sandwich_report(s, cfg.epsilon, diag.sandwich_start + 1, diag.sandwich_start + 100,
+                                 cfg.precision, diag)
+    spot_ok = bool(spot.holds.all())
     lines = [
         f"acute_start = {diag.acute_start}",
         f"nesting_start = {diag.nesting_start}",
@@ -209,11 +219,8 @@ def cmd_orbit(args, cfg: RunConfig) -> int:
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     if cfg.out:
-        lo = diag.acute_start
-        hi = diag.sandwich_start + diag.verified_window
-        trace = orbit.nesting_margin(np.arange(lo, hi + 1), s)
-        rows = [(n, float(v)) for n, v in zip(range(lo, hi + 1), trace)]
-        write_text(cfg.out, render_csv(("n", "margin"), rows))
+        ns = np.arange(diag.acute_start, diag.sandwich_start + diag.verified_window + 1)
+        write_text(cfg.out, render_csv(("n", "margin"), [ns.tolist(), orbit.nesting_margin(ns, s).tolist()]))
     return 0
 
 
@@ -221,29 +228,30 @@ def cmd_sandwich(args, cfg: RunConfig) -> int:
     s = complex(args.sigma, args.t)
     check_ceiling(args.n_max)  # the report holds a path of n_max indices and more
     check_at_least("n_max", args.n_max, 1)
+    # orbit_diagnostics' checks, then the decidability test where the report ends at the earliest
+    check_in("epsilon", cfg.epsilon, "(0, 1)")
+    eta = oracle.eta(s, cfg.precision)
+    check_at_least("window", cfg.window, 1)
+    orbit.check_decidable(s, cfg.epsilon, orbit.angle_threshold(abs(s.imag)) + args.n_max - 1, eta)
     diag = orbit.orbit_diagnostics(s, cfg.epsilon, cfg.window)
     start = diag.sandwich_start + 1
-    report = orbit.sandwich_report(
-        s, cfg.epsilon, start, start + args.n_max - 1, cfg.precision, diag
-    )
+    report = orbit.sandwich_report(s, cfg.epsilon, start, start + args.n_max - 1, cfg.precision, diag, eta)
+    holds = report.holds
     header = ["n", "lower", "measured", "upper", "holds"]
-    rows = [(rec.n, rec.lower, rec.measured, rec.upper, "true" if rec.holds else "false")
-            for rec in report]
+    columns = [*(a.tolist() for a in (report.n, report.lower, report.measured, report.upper)), _flags(holds.tolist())]
     if args.with_asymptotics:
-        ns = np.arange(start, start + len(report))
-        full = asymptotics.nesting_gap_record(ns, s)
-        half = asymptotics.shrunk_gap_record(ns, s, cfg.epsilon)
-        columns = zip(*(a.tolist() for a in (full.exact, full.leading, full.ratio,
-                                              half.exact, half.leading, half.ratio)))
-        rows = [row + extra for row, extra in zip(rows, columns)]
+        full = asymptotics.nesting_gap_record(report.n, s)
+        half = asymptotics.shrunk_gap_record(report.n, s, cfg.epsilon)
+        columns += [a.tolist() for a in (full.exact, full.leading, full.ratio,
+                                         half.exact, half.leading, half.ratio)]
         header.extend(["gap_exact", "gap_leading", "gap_ratio",
                        "shrunk_exact", "shrunk_leading", "shrunk_ratio"])
     config = {"precision": cfg.precision, "epsilon": cfg.epsilon, "window": cfg.window,
               "sigma": s.real, "t": s.imag, "n_max": args.n_max}
-    _deliver(_table(cfg, "sandwich", config, header, rows), cfg.out)
-    failures = [rec for rec in report if not rec.holds]
+    _deliver(_table(cfg, "sandwich", config, header, columns), cfg.out)
+    failures = len(report) - int(np.count_nonzero(holds))
     if failures:
-        sys.stderr.write(f"sandwich violations: {len(failures)} of {len(report)}\n")
+        sys.stderr.write(f"sandwich violations: {failures} of {len(report)}\n")
         return 1
     sys.stderr.write(
         f"sandwich holds on ({diag.sandwich_start}, {diag.sandwich_start + args.n_max}]"
@@ -318,26 +326,23 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 
         def table():
             result = scans.scan_conjecture(grid, cfg.precision)
-            if result.skipped:
-                sys.stderr.write(f"skipped {len(result.skipped)} zero-indistinguishable points\n")
-            if result.informational:
+            r = result.records
+            columns = [r.alpha, r.t, r.ratio, r.lower, r.upper, _flags(r.pass_lower), _flags(r.pass_upper)]
+            violations = [[r.alpha[i], r.t[i], r.ratio[i], r.lower[i], r.upper[i]] for i in result.violations]
+            return columns, violations, [[p.alpha, p.t, p.reason] for p in result.skipped]
+
+        def verify_row(columns, i) -> bool:
+            alpha, t = float(columns[0][i]), float(columns[1][i])
+            r = scans.scan_conjecture(scans.ScanGrid(alpha, alpha, 1.0, t, t, 1.0), cfg.precision).records
+            return list(zip(r.ratio, r.lower, r.upper)) == [tuple(float(c[i]) for c in columns[2:5])]
+
+        def verdict(columns) -> int:
+            # the grid and the rows decide the notes, so a warm re-serve prints them too
+            if skipped := grid.cardinality - len(columns[0]):
+                sys.stderr.write(f"skipped {skipped} zero-indistinguishable points\n")
+            if grid.t_from < scans.CONJECTURED_T_FROM:
                 sys.stderr.write("note: t range extends below 2*pi + 1; bounds are informational there\n")
-            rows = [
-                (r.alpha, r.t, r.ratio, r.lower, r.upper,
-                 "true" if r.pass_lower else "false", "true" if r.pass_upper else "false")
-                for r in result.records
-            ]
-            violations = [[r.alpha, r.t, r.ratio, r.lower, r.upper] for r in result.violations]
-            return rows, violations, [[p.alpha, p.t, p.reason] for p in result.skipped]
-
-        def verify_row(fields) -> bool:
-            alpha, t = float(fields[0]), float(fields[1])
-            point = scans.scan_conjecture(scans.ScanGrid(alpha, alpha, 1.0, t, t, 1.0), cfg.precision)
-            stored = tuple(float(f) for f in fields[2:5])
-            return [(r.ratio, r.lower, r.upper) for r in point.records] == [stored]
-
-        def count_violations(rows) -> int:
-            return sum("false" in row for row in rows)
+            return sum("false" in flags for flags in zip(columns[5], columns[6]))
 
     elif args.which == "monotonicity":
         if args.t is None:
@@ -350,14 +355,14 @@ def cmd_scan(args, cfg: RunConfig) -> int:
         def table():
             report = scans.scan_monotonicity(args.t, alphas)
             violations = [] if report.strictly_decreasing else [list(report.first_violation)]
-            return list(zip(alphas, report.values)), violations, []
+            return [alphas, report.values], violations, []
 
-        def verify_row(fields) -> bool:
-            s = complex(0.5 - float(fields[0]), args.t)
-            return functional.functional_ratio_modulus(s) == float(fields[1])
+        def verify_row(columns, i) -> bool:
+            s = complex(0.5 - float(columns[0][i]), args.t)
+            return functional.functional_ratio_modulus(s) == float(columns[1][i])
 
-        def count_violations(rows) -> int:
-            values = [float(row[1]) for row in rows]
+        def verdict(columns) -> int:
+            values = [float(v) for v in columns[1]]
             return sum(1 for a, b in zip(values, values[1:]) if not b < a)
 
     else:  # extrema
@@ -371,41 +376,42 @@ def cmd_scan(args, cfg: RunConfig) -> int:
             report = scans.extrema_structure(
                 args.alpha, cfg.grid_t_from, cfg.grid_t_to, t_step, cfg.precision
             )
-            rows = [("min", r.t, r.ratio, r.nearest_multiple, r.distance) for r in report.minima]
-            rows += [("max", r.t, r.ratio, r.nearest_multiple, r.distance) for r in report.maxima]
-            rows.sort(key=lambda r: r[1])
-            return rows, [], []
+            tagged = sorted([("min", r) for r in report.minima] + [("max", r) for r in report.maxima],
+                            key=lambda kind_record: kind_record[1].t)
+            return [[kind for kind, _ in tagged], *_fields([r for _, r in tagged], header[1:])], [], []
 
-        def verify_row(fields) -> bool:
+        def verify_row(columns, i) -> bool:
             # the axis may reach t <= 0, where a conjecture scan has no bounds
-            t = float(fields[1])
+            t = float(columns[1][i])
             num, den = (abs(oracle.eta(complex(sigma, t), cfg.precision).value)
                         for sigma in (0.5 + args.alpha, 0.5 - args.alpha))
-            return num / den == float(fields[2])
+            return num / den == float(columns[2][i])
 
-        def count_violations(rows) -> int:
+        def verdict(columns) -> int:
             return 0
 
     config = {"precision": cfg.precision, "which": args.which, **extra}
 
     def compute():
-        rows, violations, skipped = table()
-        return _table(cfg, "scan", config, header, rows, violations=violations, skipped=skipped), rows
+        columns, violations, skipped = table()
+        return _table(cfg, "scan", config, header, columns, violations=violations, skipped=skipped), columns
 
-    text, rows = _cached_scan(cache, {"command": "scan", **config}, cfg.format, compute, verify_row)
+    params = {"command": "scan", **config}
+    text, columns = _cached_scan(cache, params, cfg.format, len(header), compute, verify_row)
+    violations = verdict(columns)
     _deliver(text, cfg.out)
-    violations = count_violations(rows)
     if violations:
         sys.stderr.write(f"scan violations: {violations}\n")
         return 1
     return 0
 
 
-def _cached_scan(cache, params, fmt, compute, verify_row):
-    """Scan output and its rows, served from the cache when one random row re-verifies.
+def _cached_scan(cache, params, fmt, width, compute, verify_row):
+    """Scan output and its columns, served from the cache when one random row re-verifies.
 
-    ``compute()`` returns the text and the rows it rendered; a cache hit
-    parses its text once, for the spot check and for the caller.
+    ``compute()`` returns the text and the columns it rendered; a cache
+    hit parses its `width` columns once, for ``verify_row(columns, i)``
+    and for the caller.
     """
     if cache is None:
         return compute()
@@ -413,27 +419,22 @@ def _cached_scan(cache, params, fmt, compute, verify_row):
     payload = cache.get(key, fmt)
     if payload is not None:
         text = payload.decode()
-        rows = _rows(text, fmt)
-        if not rows or verify_row(rows[random.Random(key).randrange(len(rows))]):
-            return text, rows
+        columns = _columns(text, fmt, width)
+        if not columns[0] or verify_row(columns, random.Random(key).randrange(len(columns[0]))):
+            return text, columns
         sys.stderr.write("cache integrity check failed; recomputing\n")
-    text, rows = compute()
+    text, columns = compute()
     cache.put(key, fmt, text.encode())
-    return text, rows
+    return text, columns
 
 
 def cmd_verify_zeros(args, cfg: RunConfig) -> int:
     entries = zeros.load_zero_table(args.table) if args.table else None
     checks = zeros.verify_zeros(entries, cfg.precision)
     header = ("ordinal", "t", "magnitude", "abs_error_bound", "zero_indistinguishable", "is_zero_like")
-    rows = [
-        (c.ordinal, c.t, c.magnitude, c.abs_error_bound,
-         "true" if c.zero_indistinguishable else "false",
-         "true" if c.is_zero_like else "false")
-        for c in checks
-    ]
+    columns = _fields(checks, header[:4]) + [_flags(c) for c in _fields(checks, header[4:])]
     config = {"precision": cfg.precision, "table": args.table or "embedded"}
-    _deliver(_table(cfg, "verify-zeros", config, header, rows), cfg.out)
+    _deliver(_table(cfg, "verify-zeros", config, header, columns), cfg.out)
     not_zero = [c for c in checks if not c.is_zero_like]
     for c in not_zero:
         sys.stderr.write(f"ordinal {c.ordinal}: |eta(1/2 + {c.t}i)| = {c.magnitude:.3e} marked not-a-zero\n")
@@ -444,8 +445,7 @@ def cmd_approx_deviation(args, cfg: RunConfig) -> int:
     which = ("upper-approx", "lower-approx") if args.which == "both" else (args.which,)
     reports = [functional.approx_deviation_scan(w, args.step) for w in which]
     header = ("which", "max_deviation", "argmax_sigma", "violations", "grid_step")
-    rows = [(r.which, r.max_deviation, r.argmax_sigma, r.violations, r.grid_step) for r in reports]
-    _deliver(_table(cfg, "approx-deviation", {"step": args.step}, header, rows), cfg.out)
+    _deliver(_table(cfg, "approx-deviation", {"step": args.step}, header, _fields(reports, header)), cfg.out)
     return 1 if any(r.violations for r in reports) else 0
 
 

@@ -1,6 +1,7 @@
 """Bit-stable CSV/JSON emission and the content-addressed result cache.
 
-Numbers are rendered with the shortest round-trip decimal representation
+A table is a header and equal-length columns of Python values.  Numbers
+are rendered with the shortest round-trip decimal representation
 (Python's repr), so identical computations give byte-identical files on
 any platform.  JSON documents carry a versioned schema string plus the
 resolved configuration next to the data.  The cache stores finished
@@ -14,7 +15,6 @@ import hashlib
 import json
 import os
 import tempfile
-from itertools import islice
 from pathlib import Path
 
 SCHEMAS = {
@@ -49,20 +49,22 @@ def _csv_column(values):
     return [v if isinstance(v, str) else format_number(v) for v in values]
 
 
-def render_csv(header, rows) -> str:
+def render_csv(header, columns) -> str:
     """CSV text with a fixed header, LF endings and round-trip numbers.
 
-    Rows are formatted in blocks of 1024, one column at a time: ``repr``
-    on an all-float column, ``str`` on an all-int column (bools excluded),
-    strings as they are, and ``format_number`` per cell on any other
-    column (mixed types, numpy scalars, bools).  Blocks keep the
-    intermediate cells small; every row must have the same length.
+    Columns are sequences (lists, ranges), one per header name, and are
+    formatted in blocks of 1024 rows: ``repr`` on an all-float block, ``str`` on an all-int
+    block (bools excluded), strings as they are, and ``format_number``
+    per cell on any other block (mixed types, numpy scalars, bools).
+    Blocks keep the intermediate cells small.  Raises ValueError unless
+    there is one column per header name and all have the same length.
     """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header names")
     lines = [",".join(header)]
-    rows = iter(rows)
-    while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+    for lo in range(0, max(map(len, columns), default=0), _CSV_BLOCK_ROWS):
         # no name holds a block's cells, so they are freed before the final join
-        lines.extend(map(",".join, zip(*[_csv_column(c) for c in zip(*block, strict=True)])))
+        lines.extend(map(",".join, zip(*[_csv_column(c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns], strict=True)))
     return "\n".join(lines) + "\n"
 
 

@@ -84,6 +84,8 @@ def check_target(target_error: float) -> None:
     check_finite("target_error", target_error)
     if target_error < TARGET_FLOOR:
         raise ValueError(f"target_error must be >= {TARGET_FLOOR:g}")
+    if not target_error < 1.0:  # a bound of 1 or more certifies nothing
+        raise ValueError(f"target_error must be < 1, got {target_error}")
 
 
 def check_points(sigmas, ts, target_error: float = TARGET_FLOOR):

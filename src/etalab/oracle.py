@@ -185,8 +185,8 @@ def _pass(sig, t_abs, n: int, ln):
 def _certify(sig, t, target_error: float):
     """Values and bounds T + rounding floor at the points of one chunk.
 
-    A point gets ceil(1.2 n) + 8 terms (at least 1), n = ceil(1.31 D +
-    0.9 |t|) + 4 for D = -log10(target_error).  Where T = exp(l) / d_n
+    A point gets ceil(1.2 n) + 8 terms, n = ceil(1.31 D + 0.9 |t|) + 4
+    for D = -log10(target_error) > 0.  Where T = exp(l) / d_n
     may exceed target_error / 2 there (sigma near 0, at small |t|), the
     count is raised to the smallest one with T <= target_error
     / 2: as d_n > (3+sqrt 8)^n / 2, that is `up` or `up - 1`, and
@@ -208,7 +208,7 @@ def _certify(sig, t, target_error: float):
     """
     t_abs = np.abs(t)
     n = np.ceil(1.31 * -math.log10(target_error) + 0.9 * t_abs) + 4.0
-    counts = np.maximum(np.ceil(1.2 * n) + 8.0, 1.0)
+    counts = np.ceil(1.2 * n) + 8.0
     ell = _log_gamma_ratio(sig, t_abs)
     scale = np.exp(ell)
     up = np.ceil((ell + math.log(4.0 / target_error)) / math.log(3.0 + math.sqrt(8.0)))

@@ -28,6 +28,8 @@ containment or both, and stops at the block where the last run
 completes.  Points pass the oracle's point rule, errors.check_points,
 before any sweep.  The nesting start grows like t^2 / (2 sigma), so
 scans near the left strip edge take longer and may hit the ceiling.
+sandwich_report returns columns: a RemainderBound holds one array each
+for n, the two bounds and the measured |R_n|.
 """
 
 from __future__ import annotations
@@ -61,16 +63,19 @@ class OrbitDiagnostics:
     margin_flips: int       # positive-to-nonpositive sign changes seen in the scan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RemainderBound:
-    n: int
-    lower: float
-    measured: float
-    upper: float
+    n: np.ndarray
+    lower: np.ndarray
+    measured: np.ndarray
+    upper: np.ndarray
 
     @property
-    def holds(self) -> bool:
-        return self.lower < self.measured < self.upper
+    def holds(self) -> np.ndarray:
+        return (self.lower < self.measured) & (self.measured < self.upper)
+
+    def __len__(self) -> int:
+        return len(self.n)
 
 
 def angle_threshold(t: float) -> int:
@@ -260,6 +265,19 @@ def orbit_diagnostics(s, epsilon: float = 0.5, window: int = DEFAULT_WINDOW) -> 
     return OrbitDiagnostics(angle_threshold(abs(complex(s).imag)), n_o, j, max(n_o, j), epsilon, window, flips)
 
 
+def check_decidable(s: complex, epsilon: float, n: int, eta: oracle.OracleValue) -> None:
+    """Raises AccuracyUnreachable unless (1-eps)/(2 n^sigma) > 2 B + 2 eps |eta|, B the oracle's bound.
+
+    Below that, |R_n| is rounding noise; a pass at n holds at every smaller n.
+    """
+    noise = 2.0 * (eta.abs_error_bound + np.finfo(np.float64).eps * eta.magnitude)
+    least = 0.5 * (1.0 - epsilon) * n**-s.real
+    if not least > noise:
+        raise AccuracyUnreachable(
+            f"sandwich undecidable at s = {s}, n = {n}: lower bound {least:.3e} <= noise {noise:.3e}"
+        )
+
+
 def sandwich_report(
     s,
     epsilon: float,
@@ -267,14 +285,14 @@ def sandwich_report(
     n_to: int,
     target_error: float = oracle.TARGET_FLOOR,
     diagnostics: OrbitDiagnostics | None = None,
-) -> list[RemainderBound]:
-    """Per-n records (1-eps)/(2 n^sigma) | measured |R_n| | n^(-sigma).
+    eta: oracle.OracleValue | None = None,
+) -> RemainderBound:
+    """Columns n | (1-eps)/(2 n^sigma) | measured |R_n| | n^(-sigma) over [n_from, n_to].
 
     n_from must exceed the sandwich start; pass precomputed diagnostics
-    to skip the rescan.  Measured magnitudes come from one oracle value
-    of eta(s) minus streamed partial sums.  Raises AccuracyUnreachable
-    before summing unless the lower bound at n_to exceeds 2 B + 2 eps |eta|,
-    B the oracle's bound: below that, |R_n| is rounding noise.
+    to skip the rescan, and eta(s) at target_error to skip the oracle.
+    Measured magnitudes are |eta(s) - S_n|, S_n streamed.  Raises
+    AccuracyUnreachable before summing unless check_decidable passes at n_to.
     """
     s = complex(s)
     if diagnostics is None:
@@ -286,19 +304,10 @@ def sandwich_report(
         )
     if n_to < n_from:
         raise ValueError("empty range")
-    eta = oracle.eta(s, target_error)
-    noise = 2.0 * (eta.abs_error_bound + np.finfo(np.float64).eps * eta.magnitude)
-    least = 0.5 * (1.0 - epsilon) * n_to**-s.real  # the smallest lower bound of the range
-    if not least > noise:
-        raise AccuracyUnreachable(
-            f"sandwich undecidable at s = {s}, n = {n_to}: lower bound {least:.3e} <= noise {noise:.3e}"
-        )
+    if eta is None:
+        eta = oracle.eta(s, target_error)
+    check_decidable(s, epsilon, n_to, eta)
     sums = partial_sum_path(s, n_to, n_from=n_from)
-    n = np.arange(n_from, n_to + 1, dtype=np.float64)
-    measured = np.abs(eta.value - sums)
-    lower = (1.0 - epsilon) / (2.0 * n**s.real)
-    upper = n ** -s.real
-    return [
-        RemainderBound(int(nn), float(lo), float(me), float(up))
-        for nn, lo, me, up in zip(n, lower, measured, upper)
-    ]
+    n = np.arange(n_from, n_to + 1)
+    nf = n.astype(np.float64)
+    return RemainderBound(n, (1.0 - epsilon) / (2.0 * nf**s.real), np.abs(eta.value - sums), nf**-s.real)

@@ -2,8 +2,9 @@
 
 The scanned quantity is |eta(1/2 + alpha + it) / eta(1/2 - alpha + it)|,
 which equals |P(1/2 - alpha + it)| wherever the denominator is away
-from zero.  Scans run serially; rows are assembled in (t, alpha) order,
-and each scan makes one batched oracle call for its whole axis product.
+from zero.  Scans run serially, and each makes one batched oracle call
+for its whole axis product.  A conjecture scan returns columns, one list
+per field, built from the oracle's arrays in (t, alpha) order.
 Every axis is errors.axis, which passes errors.axis_count (finite
 bounds, a finite positive step, at most MAX_SCAN_POINTS samples) before
 anything is allocated.  A one-point grid, ScanGrid(alpha, alpha, 1.0,
@@ -24,6 +25,7 @@ from . import functional
 from . import oracle
 
 PI_OVER_LN2 = math.pi / math.log(2.0)
+CONJECTURED_T_FROM = 2.0 * math.pi + 1.0  # the conjectured bounds are claimed from here on
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class ScanGrid:
     alpha_from: float = 0.0
     alpha_to: float = 0.45
     alpha_step: float = 0.05
-    t_from: float = 2.0 * math.pi + 1.0
+    t_from: float = CONJECTURED_T_FROM
     t_to: float = 120.0
     t_step: float = 0.25
 
@@ -57,13 +59,16 @@ class ScanGrid:
 
 @dataclass(frozen=True)
 class BoundCheckRecord:
-    alpha: float
-    t: float
-    ratio: float
-    lower: float
-    upper: float
-    pass_lower: bool
-    pass_upper: bool
+    alpha: list[float]  # one entry per checked grid point in each column
+    t: list[float]
+    ratio: list[float]
+    lower: list[float]
+    upper: list[float]
+    pass_lower: list[bool]
+    pass_upper: list[bool]
+
+    def __len__(self) -> int:
+        return len(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,8 @@ class SkippedPoint:
 
 @dataclass(frozen=True)
 class ConjectureScanResult:
-    records: list[BoundCheckRecord]
-    violations: list[BoundCheckRecord]
+    records: BoundCheckRecord
+    violations: list[int]  # the records that fail a bound, by position
     skipped: list[SkippedPoint]
     informational: bool  # True when t_from is below the conjectured range
 
@@ -98,45 +103,32 @@ def _mirrored_ratios(alphas, ts, target_error: float):
     return ratio, den_abs, bounds[..., 1]
 
 
-def _bound_check(alpha: float, t: float, ratio: float, den_abs: float, den_bound: float):
-    if den_abs < oracle.ZERO_INDISTINGUISHABLE_FACTOR * den_bound:
-        return SkippedPoint(alpha, t, f"denominator zero-indistinguishable (|eta| = {den_abs:.2e})")
-    bounds = functional.conjecture_bounds(alpha, t)
-    return BoundCheckRecord(
-        alpha=alpha,
-        t=t,
-        ratio=ratio,
-        lower=bounds.lower,
-        upper=bounds.upper,
-        pass_lower=bounds.lower <= ratio,
-        pass_upper=ratio <= bounds.upper,
-    )
-
-
 def scan_conjecture(
     grid: ScanGrid,
     target_error: float = oracle.TARGET_FLOOR,
 ) -> ConjectureScanResult:
-    """One bound check per grid point, ordered by (t, alpha).
+    """One bound check per grid point, as columns ordered by (t, alpha).
 
     Points where the denominator is zero-indistinguishable are skipped
-    with a reason instead of producing a record.
+    with a reason instead of producing a row.  The bounds are taken one
+    point at a time, in Python floats.
     """
     alphas, ts = grid.alphas(), grid.ts()
-    ratio, den_abs, den_bound = (a.tolist() for a in _mirrored_ratios(alphas, ts, target_error))
-    results = [
-        _bound_check(alpha, t, ratio[i][j], den_abs[i][j], den_bound[i][j])
-        for i, t in enumerate(ts.tolist())
-        for j, alpha in enumerate(alphas.tolist())
-    ]
-    records = [r for r in results if isinstance(r, BoundCheckRecord)]
-    skipped = [r for r in results if isinstance(r, SkippedPoint)]
-    violations = [r for r in records if not (r.pass_lower and r.pass_upper)]
+    ratio, den_abs, den_bound = _mirrored_ratios(alphas, ts, target_error)
+    ts, alphas = np.meshgrid(ts, alphas, indexing="ij")  # the points, in the ratios' order
+    skip = den_abs < oracle.ZERO_INDISTINGUISHABLE_FACTOR * den_bound
+    skipped = [SkippedPoint(a, t, f"denominator zero-indistinguishable (|eta| = {d:.2e})")
+               for a, t, d in zip(alphas[skip].tolist(), ts[skip].tolist(), den_abs[skip].tolist())]
+    alpha, t, ratio = alphas[~skip].tolist(), ts[~skip].tolist(), ratio[~skip].tolist()
+    bounds = list(map(functional.conjecture_bounds, alpha, t))
+    lower, upper = [b.lower for b in bounds], [b.upper for b in bounds]
+    pass_lower = [lo <= r for lo, r in zip(lower, ratio)]
+    pass_upper = [r <= up for r, up in zip(ratio, upper)]
     return ConjectureScanResult(
-        records=records,
-        violations=violations,
+        records=BoundCheckRecord(alpha, t, ratio, lower, upper, pass_lower, pass_upper),
+        violations=[i for i, (lo, up) in enumerate(zip(pass_lower, pass_upper)) if not (lo and up)],
         skipped=skipped,
-        informational=grid.t_from < 2.0 * math.pi + 1.0,
+        informational=grid.t_from < CONJECTURED_T_FROM,
     )
 
 

@@ -68,16 +68,8 @@ def verify_zeros(
     """|eta(1/2 + it)| for each table entry, flagged against the tolerance."""
     entries = KNOWN_ZEROS if entries is None else list(entries)
     values, bounds = oracle.eta_many(0.5, [entry.t for entry in entries], target_error)
-    checks = []
-    for entry, value in zip(entries, map(oracle.OracleValue, values.tolist(), bounds.tolist())):
-        checks.append(
-            ZeroCheck(
-                ordinal=entry.ordinal,
-                t=entry.t,
-                magnitude=abs(value.value),
-                abs_error_bound=value.abs_error_bound,
-                zero_indistinguishable=value.zero_indistinguishable,
-                is_zero_like=abs(value.value) < ZERO_MAGNITUDE_TOL,
-            )
-        )
-    return checks
+    return [
+        ZeroCheck(e.ordinal, e.t, abs(v.value), v.abs_error_bound, v.zero_indistinguishable,
+                  abs(v.value) < ZERO_MAGNITUDE_TOL)
+        for e, v in zip(entries, map(oracle.OracleValue, values.tolist(), bounds.tolist()))
+    ]

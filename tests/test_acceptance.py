@@ -74,7 +74,7 @@ def test_criterion_04_remainder_sandwich_three_points():
         diag = orbit_diagnostics(s, 0.5)
         start = diag.sandwich_start + 1
         records = sandwich_report(s, 0.5, start, start + 4999, diagnostics=diag)
-        ok = ok and len(records) == 5000 and all(r.holds for r in records)
+        ok = ok and len(records) == 5000 and bool(records.holds.all())
     report(4, "sandwich (1-eps)/(2 n^sigma) < |R_n| < n^(-sigma) on (m, m+5000]", ok, t0, 30.0)
 
 def test_criterion_05_critical_line_identity():

@@ -55,6 +55,8 @@ CASES = [
                  "window must be >= 1, got -3", id="orbit_diagnostics-window"),
     pytest.param(errors.check_target, (1e-14,), lambda: sandwich_report(S, 0.5, 11, 20, 1e-14, DIAG),
                  "target_error must be >= 1e-13", id="sandwich_report-target"),
+    pytest.param(errors.check_target, (1.0,), lambda: sandwich_report(S, 0.5, 11, 20, 1.0, DIAG),
+                 "target_error must be < 1, got 1.0", id="sandwich_report-target-cap"),
     pytest.param(errors.check_n_from, (11, 10), lambda: sum_ratio_path(0.3 + 20.0j, 10, n_from=11),
                  "need 1 <= n_from <= n_max, got n_from = 11, n_max = 10", id="sum_ratio_path-n_from"),
     pytest.param(errors.check_positive, ("zero-sum threshold", math.nan), lambda: sum_ratio_path(S, 10, math.nan),
@@ -85,6 +87,8 @@ CASES = [
                  "grid_step 1e-07 gives more than 1000000 points on [0, 0.5]", id="approx_deviation_scan"),
     pytest.param(errors.check_target, (math.nan,), lambda: resolve_config({"precision": math.nan}),
                  "target_error must be finite, got nan", id="resolve_config-precision"),
+    pytest.param(errors.check_target, (1e308,), lambda: resolve_config({"precision": 1e308}),
+                 "target_error must be < 1, got 1e+308", id="resolve_config-precision-cap"),
     pytest.param(errors.check_in, ("format", "xml", "{csv, json}"), lambda: resolve_config({"format": "xml"}),
                  "format must lie in {csv, json}, got xml", id="resolve_config-format"),
 ]

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etalab.emitters import (
     CacheStore,
@@ -27,12 +29,16 @@ class TestFormatting:
         assert format_number(True) == "true"
 
     def test_csv_shape(self):
-        text = render_csv(("n", "re", "im"), [(1, 1.0, 0.0), (2, 0.5, -0.25)])
+        text = render_csv(("n", "re", "im"), [[1, 2], [1.0, 0.5], [0.0, -0.25]])
         lines = text.split("\n")
         assert lines[0] == "n,re,im"
         assert lines[1] == "1,1.0,0.0"
         assert text.endswith("\n")
         assert "\r" not in text
+
+
+def _columns(rows, width: int) -> list[list]:
+    return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
 
 
 def _render_csv_rowwise(header, rows) -> str:
@@ -62,19 +68,36 @@ def _cell(kind: str, rng: random.Random):
     return _cell(rng.choice(_KINDS), rng)  # "mixed": the type changes from row to row
 
 
+def _column(kind: str, n_rows: int, rng: random.Random) -> list:
+    if kind == "array":  # a numpy column as the library hands it over
+        return np.array([_cell("float", rng) for _ in range(n_rows)], dtype=np.float64).tolist()
+    return [_cell(kind, rng) for _ in range(n_rows)]
+
+
 class TestRenderCsvColumns:
-    """Block-wise, column-wise rendering gives the bytes of the row-wise loop."""
+    """Block-wise, column-wise rendering gives the bytes of the row-wise loop over the same table."""
 
     @pytest.mark.parametrize("n_rows", [0, 1, 2, 1023, 1024, 1025, 2049])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_rowwise(self, n_rows, seed):
         rng = random.Random(f"csv:{n_rows}:{seed}")
-        kinds = [*_KINDS, "mixed", "mixed", *rng.sample(_KINDS, 3)]
+        kinds = [*_KINDS, "mixed", "mixed", "array", *rng.sample(_KINDS, 3)]
         header = [f"c{i}" for i in range(len(kinds))]
-        rows = [tuple(_cell(k, rng) for k in kinds) for _ in range(n_rows)]
-        expected = _render_csv_rowwise(header, rows)
-        assert render_csv(header, rows) == expected
-        assert render_csv(header, iter(rows)) == expected  # rows may be a one-shot iterator
+        columns = [_column(k, n_rows, rng) for k in kinds]
+        rows = list(zip(*columns))
+        assert render_csv(header, columns) == _render_csv_rowwise(header, rows)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n_rows=st.sampled_from([0, 1, 1023, 1024, 1025]),
+           kinds=st.lists(st.sampled_from([*_KINDS, "mixed", "array"]), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_tables_match_rowwise(self, n_rows, kinds, seed):
+        rng = random.Random(seed)
+        header = [f"c{i}" for i in range(len(kinds))]
+        columns = [_column(k, n_rows, rng) for k in kinds]
+        rows = list(zip(*columns))
+        assert _columns(rows, len(header)) == columns
+        assert render_csv(header, columns) == _render_csv_rowwise(header, rows)
 
     @pytest.mark.parametrize("kind", _KINDS)
     def test_column_changes_type_at_a_block_edge(self, kind):
@@ -82,15 +105,17 @@ class TestRenderCsvColumns:
         rng = random.Random(kind)
         rows = [(_cell(kind, rng),) for _ in range(1024)]
         rows += [(_cell(other, rng),) for other in _KINDS for _ in range(3)]
-        assert render_csv(("v",), rows) == _render_csv_rowwise(("v",), rows)
+        assert render_csv(("v",), _columns(rows, 1)) == _render_csv_rowwise(("v",), rows)
 
     def test_special_floats(self):
         rows = [(x, np.float64(x), str(x)) for x in _SPECIAL_FLOATS]
-        assert render_csv(("a", "b", "c"), rows) == _render_csv_rowwise(("a", "b", "c"), rows)
+        assert render_csv(("a", "b", "c"), _columns(rows, 3)) == _render_csv_rowwise(("a", "b", "c"), rows)
 
     def test_ragged_rows_refused(self):
-        with pytest.raises(ValueError):
-            render_csv(("a", "b"), [(1, 2.0), (3,)])
+        # columns of unequal length, also where they differ only past a block edge
+        for lengths in ((2, 1), (1, 2), (1024, 1025), (1025, 1024), (0, 1), (3, 0)):
+            with pytest.raises(ValueError):
+                render_csv(("a", "b"), [[1.0] * n for n in lengths])
 
 
 class TestJsonDocuments:

@@ -228,8 +228,11 @@ class TestBoundAgainstMpmath:
         assert _ref_eta(complex(sigma, t), 1e-9)[2] > old
 
     def test_coarse_targets(self):
-        # so coarse that ceil(1.2 n) + 8 is 0 or negative: one term is summed
-        for target in (3e8, 1e10):
+        # a target of 1 or more certifies nothing and is refused; just below 1 is certified
+        for target in (1.0, 3e8):
+            with pytest.raises(ValueError, match="target_error must be < 1"):
+                eta(0.5 + 0.0j, target)
+        for target in (0.5, math.nextafter(1.0, 0.0)):
             for s in (0.5 + 0.0j, 0.5 - 1.0j):
                 v = eta(s, target)
                 assert abs(v.value - _altzeta(s.real, s.imag)) <= v.abs_error_bound <= target

@@ -62,28 +62,26 @@ class TestConjectureScan:
         assert len(result.records) == grid.cardinality
         assert result.violations == []
         assert result.skipped == []
-        for r in result.records:
-            assert 0.0 <= r.ratio <= 1.0 + 1e-12
+        assert all(0.0 <= ratio <= 1.0 + 1e-12 for ratio in result.records.ratio)
 
     def test_alpha_zero_rows_are_unity(self):
         grid = ScanGrid(0.0, 0.0, 1.0, 10.0, 11.0, 0.25)
-        result = scan_conjecture(grid)
-        for r in result.records:
-            assert abs(r.ratio - 1.0) < 1e-12
-            assert r.lower == 1.0 and r.upper == 1.0
-            assert r.pass_lower and r.pass_upper
+        r = scan_conjecture(grid).records
+        assert all(abs(ratio - 1.0) < 1e-12 for ratio in r.ratio)
+        assert set(r.lower) == set(r.upper) == {1.0}
+        assert all(r.pass_lower) and all(r.pass_upper)
 
     def test_ratio_equals_functional_modulus(self):
         grid = ScanGrid(0.1, 0.4, 0.15, 9.0, 10.0, 0.5)
-        result = scan_conjecture(grid)
-        for r in result.records:
-            want = functional_ratio_modulus(complex(0.5 - r.alpha, r.t))
-            assert abs(r.ratio - want) < 1e-9
+        r = scan_conjecture(grid).records
+        for alpha, t, ratio in zip(r.alpha, r.t, r.ratio):
+            want = functional_ratio_modulus(complex(0.5 - alpha, t))
+            assert abs(ratio - want) < 1e-9
 
     def test_rows_ordered_by_t_then_alpha(self):
         grid = ScanGrid(0.0, 0.2, 0.1, 8.0, 9.0, 0.5)
-        result = scan_conjecture(grid)
-        keys = [(r.t, r.alpha) for r in result.records]
+        r = scan_conjecture(grid).records
+        keys = list(zip(r.t, r.alpha))
         assert keys == sorted(keys)
 
     def test_informational_flag_below_conjectured_range(self):
